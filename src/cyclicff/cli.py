@@ -64,7 +64,7 @@ DEFAULTS = {
     "synth_dim": "20",
     "synth_classes": "2",
     "synth_separation": "6.0",
-    "out_dir": ".",
+    "out_dir": "out",
 }
 
 
@@ -185,7 +185,7 @@ def _git_describe() -> str:
         return subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=5).stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return ""
 
 

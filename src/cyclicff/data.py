@@ -30,7 +30,8 @@ class Dataset:
     def __post_init__(self):
         if len(self.labels) != len(self.features):
             raise ValueError("Dataset: feature/label count mismatch")
-        if len(self.labels) and int(self.labels.max()) >= self.n_classes:
+        if len(self.labels) and (int(self.labels.min()) < 0
+                                 or int(self.labels.max()) >= self.n_classes):
             raise ValueError("Dataset: label out of range")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("Dataset: non-finite features")

@@ -24,7 +24,13 @@ from .numerics import AdamState, adam_step, softmax_stable
 CHECKPOINT_MAGIC = b"CNN1"
 CHECKPOINT_VERSION = 1
 
-STREAM_NAMES = ("pos", "neg", "neu")
+# `predict` works through its input in row blocks sized so that one
+# neuron's (rows x d_in) float64 input fits in this many bytes, which keeps
+# the per-round temporaries in a core's L2 cache instead of main memory.
+PREDICT_BLOCK_BYTES = 1 << 20
+# Lower bound on the rows of a block. With wide neurons the budget alone
+# gives blocks too short for BLAS to run the matmuls at full speed.
+PREDICT_MIN_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -33,9 +39,6 @@ class PropagationState:
     pos: list[np.ndarray]
     neg: list[np.ndarray]
     neu: list[np.ndarray]
-
-    def stream(self, name: str) -> list[np.ndarray]:
-        return getattr(self, name)
 
 
 @dataclass
@@ -107,19 +110,20 @@ def _neuron_input(fused_stream: np.ndarray, outputs: list[np.ndarray],
     return np.concatenate([fused_stream] + [outputs[i] for i in preds], axis=1)
 
 
+def forward_round(net: CyclicNet, fused_stream: np.ndarray,
+                  outputs: list[np.ndarray]) -> list[np.ndarray]:
+    """One synchronous forward-only round of one stream: every neuron reads
+    the fused input and its predecessors' outputs from the previous round."""
+    return [neuron_forward(p, _neuron_input(fused_stream, outputs, preds))
+            for p, preds in zip(net.neurons, net.preds)]
+
+
 def propagate_step(net: CyclicNet, state: PropagationState,
                    fused: FusedBatch) -> PropagationState:
     """One synchronous round for all three streams."""
-    fused_by_stream = {"pos": fused.h_pos, "neg": fused.h_neg,
-                       "neu": fused.h_neu}
-    new = {}
-    for s in STREAM_NAMES:
-        prev = state.stream(s)
-        new[s] = [neuron_forward(net.neurons[j],
-                                 _neuron_input(fused_by_stream[s], prev,
-                                               net.preds[j]))
-                  for j in range(net.topology.n_neurons)]
-    return PropagationState(**new)
+    return PropagationState(pos=forward_round(net, fused.h_pos, state.pos),
+                            neg=forward_round(net, fused.h_neg, state.neg),
+                            neu=forward_round(net, fused.h_neu, state.neu))
 
 
 def readout_forward_loss_grad(net: CyclicNet, neu_outputs: list[np.ndarray],
@@ -127,7 +131,8 @@ def readout_forward_loss_grad(net: CyclicNet, neu_outputs: list[np.ndarray],
     """Softmax readout over the concatenation of all neurons' neutral
     outputs; returns (y_hat, loss, grad w.r.t. readout_W)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) and int(labels.max()) >= net.n_classes:
+    if len(labels) and (int(labels.min()) < 0
+                        or int(labels.max()) >= net.n_classes):
         raise ValueError("readout: label out of range")
     x = np.concatenate(neu_outputs, axis=1)
     if x.shape[1] != net.readout_W.shape[1]:
@@ -192,22 +197,47 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
     return net, loss_sums / net.T, readout_loss
 
 
+def _block_rows(net: CyclicNet) -> int:
+    """Rows per `predict` block: the byte budget over the widest input."""
+    widest = max(p.d_in for p in net.neurons)
+    return max(PREDICT_MIN_BLOCK_ROWS, PREDICT_BLOCK_BYTES // (8 * widest))
+
+
+def _row_blocks(n_rows: int, block: int) -> list[tuple[int, int]]:
+    """[start, stop) bounds covering n_rows in blocks of `block` rows.
+
+    A 1-row tail joins the block before it: numpy hands a 1-row matmul to
+    gemv, whose rows need not match gemm's bitwise. An empty input is one
+    empty block.
+    """
+    stops = list(range(block, n_rows, block)) + [n_rows]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    return list(zip([0] + stops[:-1], stops))
+
+
 def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
     """Neutral-label inference: T frozen propagation rounds, readout argmax.
-    Ties break toward the lowest class index."""
+    Ties break toward the lowest class index.
+
+    Rows are independent, so they are processed in cache-sized blocks; the
+    per-row arithmetic, and so the result, does not depend on the block.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != net.raw_dim:
         raise ValueError(
             f"predict: features have {features.shape[1]} cols, "
             f"expected {net.raw_dim}")
-    h_neu = neutral_fusion(features, net.n_classes, net.fusion)
-    outputs = [np.zeros((len(features), n.d_out)) for n in net.neurons]
-    for _ in range(net.T):
-        outputs = [neuron_forward(net.neurons[j],
-                                  _neuron_input(h_neu, outputs, net.preds[j]))
-                   for j in range(net.topology.n_neurons)]
-    logits = np.concatenate(outputs, axis=1) @ net.readout_W.T
-    return np.argmax(logits, axis=1)
+    preds = []
+    for start, stop in _row_blocks(len(features), _block_rows(net)):
+        h_neu = neutral_fusion(features[start:stop], net.n_classes,
+                               net.fusion)
+        outputs = [np.zeros((stop - start, p.d_out)) for p in net.neurons]
+        for _ in range(net.T):
+            outputs = forward_round(net, h_neu, outputs)
+        logits = np.concatenate(outputs, axis=1) @ net.readout_W.T
+        preds.append(np.argmax(logits, axis=1))
+    return np.concatenate(preds)
 
 
 def save_checkpoint(net: CyclicNet, path) -> None:

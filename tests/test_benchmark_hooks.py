@@ -1,0 +1,43 @@
+"""The benchmark under benchmarks/ wraps library functions by name, so a
+renamed or no longer called function must fail here too, not only there."""
+
+import os
+
+import pytest
+
+from cyclicff import data, graph, network, neuron, numerics
+from cyclicff.graph import GeneratorSpec
+from cyclicff.numerics import make_rng
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "benchmarks")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    # Restores sys.path afterwards, including the entry run.py adds.
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import run
+    import tracing
+    return run, tracing
+
+
+def test_install_and_uninstall(bench):
+    run, tracing = bench
+    originals = {m: dict(vars(m)) for m in (data, graph, network, neuron,
+                                             numerics)}
+    tracer = tracing.Tracer()
+    run.install(tracer)
+    try:
+        net = network.build_network(
+            graph.generate(GeneratorSpec("complete", 3)), 7, 4, 3, 1.0, 2,
+            make_rng(0, "weights"))
+        network.predict(net, make_rng(0, 0).standard_normal((5, 4)))
+    finally:
+        tracer.uninstall()
+    for name in ("network.predict", "data.neutral_fusion",
+                 "neuron.neuron_forward", "numerics.l2_normalize_rows"):
+        assert tracer.stats[name].calls > 0, name
+    assert tracer.stats["network.predict"].counts["rows"] == 5
+    for m, before in originals.items():
+        assert all(vars(m)[k] is v for k, v in before.items()), m.__name__

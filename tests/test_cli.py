@@ -1,12 +1,14 @@
 import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
 
 from conftest import write_idx_images, write_idx_labels
-from cyclicff.cli import (ConfigError, config_hash, effective_config, main,
-                          parse_config_file, to_train_config)
+from cyclicff.cli import (ConfigError, _git_describe, config_hash,
+                          effective_config, main, parse_config_file,
+                          to_train_config)
 
 
 SYNTH_CFG = """
@@ -97,6 +99,28 @@ class TestTrainCommand:
                          if f.endswith(".manifest.json")][0]
         manifest = json.load(open(out_dir / manifest_file))
         assert manifest["config"]["T"] == "5"
+
+    def test_default_out_dir(self, cfg_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["train", "--config", cfg_path, "--seed", "2"]) == 0
+        files = sorted(os.listdir(tmp_path / "out"))
+        assert [f.split(".", 1)[1] for f in files] == [
+            "ckpt", "csv", "manifest.json"]
+
+    def test_slow_git_still_writes_manifest(self, cfg_path, tmp_path,
+                                            monkeypatch):
+        def slow_git(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(subprocess, "run", slow_git)
+        assert _git_describe() == ""
+        out_dir = tmp_path / "out"
+        assert run_cli(["train", "--config", cfg_path,
+                        "--set", f"out_dir={out_dir}"]) == 0
+        manifest_file = [f for f in os.listdir(out_dir)
+                         if f.endswith(".manifest.json")][0]
+        manifest = json.load(open(out_dir / manifest_file))
+        assert manifest["git_describe"] == ""
 
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         rc = run_cli(["train", "--set", "dataset=mnist",

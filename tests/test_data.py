@@ -17,6 +17,13 @@ def rng():
     return make_rng(0, "negative-labels")
 
 
+class TestDataset:
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range(self, label):
+        with pytest.raises(ValueError, match="out of range"):
+            Dataset(np.zeros((2, 4)), np.array([0, label]), 3)
+
+
 class TestFuseInputs:
     def test_overlay_mnist_convention(self, rng):
         feats = make_rng(1, 0).uniform(0.1, 1.0, size=(5, 784))

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from conftest import central_diff, rel_err
 from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate
-from cyclicff.network import (CyclicNet, _neuron_input, build_network,
-                              load_checkpoint, predict, propagate_step,
-                              readout_forward_loss_grad, save_checkpoint,
-                              train_iteration, zero_state)
+import cyclicff.network as network_module
+from cyclicff.network import (CyclicNet, _block_rows, _neuron_input,
+                              build_network, load_checkpoint, predict,
+                              propagate_step, readout_forward_loss_grad,
+                              save_checkpoint, train_iteration, zero_state)
 from cyclicff.neuron import neuron_forward
 from cyclicff.numerics import make_rng
 
@@ -132,6 +133,13 @@ class TestReadout:
                                                np.array([0, 1]))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range(self, label):
+        net = small_net(n_classes=3)
+        outputs = [np.zeros((2, p.d_out)) for p in net.neurons]
+        with pytest.raises(ValueError, match="out of range"):
+            readout_forward_loss_grad(net, outputs, np.array([0, label]))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_matches_finite_differences(self, seed):
         net = small_net("cycle", 3, base_dim=8, d_out=4, n_classes=3,
@@ -225,21 +233,41 @@ class TestPredict:
         preds = predict(net, np.tile(row, (4, 1)))
         assert len(set(preds.tolist())) == 1
 
-    def test_prediction_is_function_of_features_only(self):
-        # No label enters predict at all; check against manual neutral pass.
+    # The row blocks predict should use, as functions of its block size B.
+    @pytest.mark.parametrize("blocks_of", [
+        lambda B: [0], lambda B: [1], lambda B: [6], lambda B: [B],
+        lambda B: [B, B], lambda B: [B, B + 1], lambda B: [B, B, B, B // 2]],
+        ids=["empty", "one-row", "six-rows", "one-block", "two-blocks",
+             "two-blocks-plus-one-row", "ragged-tail"])
+    def test_prediction_is_function_of_features_only(self, blocks_of,
+                                                     monkeypatch):
+        # No label enters predict at all; check against manual neutral pass
+        # over all rows at once, whatever blocks predict splits them into.
         net = small_net(seed=4)
         net.readout_W = make_rng(4, 7).standard_normal(net.readout_W.shape)
-        feats = make_rng(5, 0).standard_normal((6, net.raw_dim))
+        blocks = blocks_of(_block_rows(net))
+        rows = sum(blocks)
+        feats = make_rng(5, 0).standard_normal((rows, net.raw_dim))
         h_neu = neutral_fusion(feats, net.n_classes, net.fusion)
-        outputs = [np.zeros((6, p.d_out)) for p in net.neurons]
+        outputs = [np.zeros((rows, p.d_out)) for p in net.neurons]
         for _ in range(net.T):
             outputs = [neuron_forward(net.neurons[j],
                                       _neuron_input(h_neu, outputs,
                                                     net.preds[j]))
                        for j in range(4)]
         logits = np.concatenate(outputs, axis=1) @ net.readout_W.T
-        np.testing.assert_array_equal(predict(net, feats),
-                                      np.argmax(logits, axis=1))
+
+        seen = []
+
+        def spy(features, *args):
+            seen.append(len(features))
+            return neutral_fusion(features, *args)
+
+        monkeypatch.setattr(network_module, "neutral_fusion", spy)
+        preds = predict(net, feats)
+        assert seen == blocks
+        assert preds.dtype == np.int64
+        np.testing.assert_array_equal(preds, np.argmax(logits, axis=1))
 
     def test_dim_mismatch(self):
         net = small_net()
