@@ -10,16 +10,16 @@ from .graph import GeneratorSpec, Topology, generate, predecessors
 from .network import (CyclicNet, build_network, load_checkpoint, predict,
                       propagate_step, save_checkpoint, train_iteration)
 from .neuron import NeuronParams, ff_loss_and_grad, goodness, neuron_forward
-from .numerics import AdamState, adam_step, l2_normalize, make_rng, softmax_stable
+from .numerics import AdamState, adam_step, make_rng, softmax_stable
 from .training import (BPChainMLP, Metrics, TrainConfig, bp_chain_baseline,
-                       evaluate, sweep, train_loop)
+                       evaluate, train_loop)
 
 __all__ = [
     "AdamState", "BPChainMLP", "CyclicNet", "Dataset", "FusedBatch",
     "FusionMode", "GeneratorSpec", "Metrics", "NeuronParams", "Topology",
     "TrainConfig", "adam_step", "bp_chain_baseline", "build_network",
     "evaluate", "ff_loss_and_grad", "fuse_inputs", "generate", "goodness",
-    "l2_normalize", "load_checkpoint", "make_rng", "neuron_forward",
-    "predecessors", "predict", "propagate_step", "save_checkpoint",
-    "softmax_stable", "sweep", "synth_blobs", "train_iteration", "train_loop",
+    "load_checkpoint", "make_rng", "neuron_forward", "predecessors",
+    "predict", "propagate_step", "save_checkpoint", "softmax_stable",
+    "synth_blobs", "train_iteration", "train_loop",
 ]

@@ -17,7 +17,6 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .data import (Dataset, FusionMode, load_embeddings, load_mnist_idx,
 from .graph import GeneratorSpec, generate, has_cycle, predecessors, to_edge_list
 from .network import load_checkpoint, save_checkpoint
 from .numerics import make_rng
-from .training import Metrics, TrainConfig, evaluate, run_config
+from .training import TrainConfig, evaluate, run_config
 
 
 class ConfigError(Exception):
@@ -241,16 +240,19 @@ def cmd_eval(args) -> int:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",") if s.strip()]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in spec.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(
+            f"--seeds {spec!r}: expected a,b,... or lo..hi") from None
 
 
-def _one_sweep_run(payload):
-    cfg, datasets = payload
-    tc = to_train_config(cfg)
-    _, metrics = run_config(tc, *datasets)
+def _one_sweep_run(cfg: dict[str, str]) -> float:
+    """One sweep job; it builds its own data, so data keys can be swept."""
+    _, metrics = run_config(to_train_config(cfg), *load_datasets(cfg))
     return metrics.test_err
 
 
@@ -284,25 +286,23 @@ def cmd_sweep(args) -> int:
             cfg.update(dict(zip(keys, combo)))
             cfg["seed"] = str(seed)
             jobs.append(cfg)
-
-    datasets_cache = {}
-
-    def datasets_for(cfg):
-        key = (cfg["dataset"], cfg["seed"])
-        if key not in datasets_cache:
-            datasets_cache[key] = load_datasets(cfg)
-        return datasets_cache[key]
+    # Reject a bad value in any combo before the first run trains.
+    for cfg in jobs:
+        to_train_config(cfg)
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            errs = list(pool.map(_one_sweep_run,
-                                 [(cfg, datasets_for(cfg)) for cfg in jobs]))
+            errs = list(pool.map(_one_sweep_run, jobs))
     else:
-        errs = [_one_sweep_run((cfg, datasets_for(cfg))) for cfg in jobs]
+        errs = list(map(_one_sweep_run, jobs))
 
     out_dir = base["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    summary = os.path.join(out_dir, f"sweep-{config_hash(base)}.csv")
+    # Named from the base config, the swept values and the seeds, so
+    # sweeps of one config over different axes keep separate summaries.
+    sweep_id = hashlib.sha256(
+        repr((config_hash(base), axes, seeds)).encode()).hexdigest()[:8]
+    summary = os.path.join(out_dir, f"sweep-{sweep_id}.csv")
     with open(summary, "w") as f:
         f.write(",".join(keys) + ",mean_test_err,std_test_err,n_seeds\n")
         for i, combo in enumerate(combos):
@@ -318,8 +318,6 @@ def cmd_inspect_graph(args) -> int:
     tc = to_train_config(cfg)
     topo = generate(tc.generator)
     sys.stdout.write(to_edge_list(topo))
-    train_dim = None
-    base = None
     for j in range(topo.n_neurons):
         preds = predecessors(topo, j)
         out_deg = sum(1 for s, _ in topo.synapses if s == j)

@@ -52,7 +52,6 @@ class Dataset:
 @dataclass(frozen=True)
 class FusionMode:
     mode: str = "concat"  # "concat" or "overlay"
-    overlay_width: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("concat", "overlay"):
@@ -90,9 +89,6 @@ def fuse_inputs(features: np.ndarray, labels: np.ndarray, n_classes: int,
         raise ValueError("fuse_inputs: need at least 2 classes")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    width = mode.overlay_width or n_classes
-    if width != n_classes:
-        raise ValueError("fuse_inputs: overlay width must equal n_classes")
     if mode.mode == "overlay" and features.shape[1] < n_classes:
         raise ValueError("fuse_inputs: overlay needs dim >= n_classes")
 
@@ -232,14 +228,3 @@ def iter_batches(d: Dataset, batch_size: int, rng: np.random.Generator):
         idx = perm[start:start + batch_size]
         yield d.features[idx], d.labels[idx]
 
-
-def split_and_batch(d: Dataset, val_fraction: float, batch_size: int,
-                    rng: np.random.Generator):
-    """Split once, then return (train, val, epoch_batches) where
-    epoch_batches() yields a freshly reshuffled epoch each call."""
-    train, val = split(d, val_fraction, rng)
-
-    def epoch_batches():
-        return iter_batches(train, batch_size, rng)
-
-    return train, val, epoch_batches

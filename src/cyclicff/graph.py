@@ -7,7 +7,7 @@ then expanded into both directed synapses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numerics import make_rng
 
@@ -136,12 +136,6 @@ def predecessors(t: Topology, j: int) -> list[int]:
     if not (0 <= j < t.n_neurons):
         raise ValueError(f"predecessors: neuron index {j} out of range")
     return sorted(src for src, dst in t.synapses if dst == j)
-
-
-def successors(t: Topology, i: int) -> list[int]:
-    if not (0 <= i < t.n_neurons):
-        raise ValueError(f"successors: neuron index {i} out of range")
-    return sorted(dst for src, dst in t.synapses if src == i)
 
 
 def has_cycle(t: Topology) -> bool:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graph as graphmod
 from .data import FusionMode, FusedBatch, neutral_fusion
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
@@ -170,16 +169,15 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
     loss_sums = np.zeros(n)
 
     for _ in range(net.T):
-        new_pos, new_neg, new_neu, grads = [], [], [], []
+        new_neu = forward_round(net, fused.h_neu, state.neu)
+        new_pos, new_neg, grads = [], [], []
         for j in range(n):
             h_in_pos = _neuron_input(fused.h_pos, state.pos, net.preds[j])
             h_in_neg = _neuron_input(fused.h_neg, state.neg, net.preds[j])
-            h_in_neu = _neuron_input(fused.h_neu, state.neu, net.preds[j])
             loss, grad, h_pos, h_neg = ff_loss_grad_outputs(
                 net.neurons[j], h_in_pos, h_in_neg)
             new_pos.append(h_pos)
             new_neg.append(h_neg)
-            new_neu.append(neuron_forward(net.neurons[j], h_in_neu))
             grads.append(grad)
             loss_sums[j] += loss
         # All forwards done with pre-update weights; only now step.

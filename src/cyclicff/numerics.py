@@ -7,11 +7,16 @@ of an experiment can be reseeded independently and reproducibly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 EPS_NORM = 1e-8
+
+# Adam hyper-parameters; only the learning rate and weight decay vary.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # Named sub-streams. Keeping the ids stable is part of the reproducibility
 # contract: a (seed, stream) pair must generate the same sequence forever.
@@ -31,16 +36,9 @@ def make_rng(seed: int, stream: int | str = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / max(||v||_2, 1e-8); the guard makes the zero vector a fixed point."""
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("l2_normalize: non-finite input")
-    return v / max(np.linalg.norm(v), EPS_NORM)
-
-
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise l2_normalize of a (batch x dim) matrix."""
+    """Each row of a (batch x dim) matrix over max(||row||_2, 1e-8); the
+    guard makes a zero row a fixed point."""
     m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise ValueError("l2_normalize_rows: non-finite input")
@@ -76,7 +74,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments plus hyper-parameters.
+    """Per-parameter Adam moments, step count, learning rate and decay.
 
     Weight decay is coupled L2: the decay term is folded into the gradient
     before the moment updates.
@@ -86,22 +84,18 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     @classmethod
     def for_param(cls, param: np.ndarray, lr: float = 1e-3,
-                  weight_decay: float = 0.0, **kw) -> "AdamState":
+                  weight_decay: float = 0.0) -> "AdamState":
         return cls(m=np.zeros_like(param, dtype=np.float64),
                    v=np.zeros_like(param, dtype=np.float64),
-                   lr=lr, weight_decay=weight_decay, **kw)
+                   lr=lr, weight_decay=weight_decay)
 
     def copy(self) -> "AdamState":
         return AdamState(m=self.m.copy(), v=self.v.copy(), t=self.t,
-                         lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                         eps=self.eps, weight_decay=self.weight_decay)
+                         lr=self.lr, weight_decay=self.weight_decay)
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray,
@@ -119,8 +113,8 @@ def adam_step(params: np.ndarray, grad: np.ndarray,
         g = grad + state.weight_decay * params
 
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps), state
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    return params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), state

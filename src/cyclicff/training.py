@@ -1,5 +1,5 @@
-"""Epoch loop with early stopping, evaluation, the backprop chain baseline,
-and hyperparameter sweeps."""
+"""Epoch loop with early stopping, evaluation, and the backprop chain
+baseline."""
 
 from __future__ import annotations
 
@@ -85,31 +85,19 @@ def evaluate(model, d: Dataset) -> float:
     return 100.0 * float(np.mean(preds != d.labels))
 
 
-def _fused_dim(d: Dataset, fusion: FusionMode) -> int:
-    return fusion.fused_dim(d.dim, d.n_classes)
-
-
-def train_loop(cfg: TrainConfig, train: Dataset,
-               val: Dataset) -> tuple[CyclicNet, Metrics]:
+def _fit(cfg: TrainConfig, model, train: Dataset, val: Dataset, batch_step):
     """Train until max_epochs or `patience` consecutive epochs without a new
-    best validation error; returns the best-validation snapshot. With an
-    empty validation set the training error is monitored instead."""
-    cfg.validate()
+    best validation error; returns the best-validation snapshot and the
+    metrics. With an empty validation set the training error is monitored
+    instead. `batch_step(feats, labels)` updates `model` in place and
+    returns the batch's (neuron_loss, readout_loss)."""
     if val.n_samples and (val.dim != train.dim
                           or val.n_classes != train.n_classes):
-        raise ValueError("train_loop: train/val dataset mismatch")
-
-    topo = generate(replace(cfg.generator, seed=cfg.seed))
-    net = build_network(topo, _fused_dim(train, cfg.fusion), cfg.d_out,
-                        train.n_classes, cfg.theta, cfg.T,
-                        make_rng(cfg.seed, "weights"),
-                        lr=cfg.lr, weight_decay=cfg.weight_decay,
-                        fusion=cfg.fusion)
+        raise ValueError("train/val dataset mismatch")
     shuffle_rng = make_rng(cfg.seed, "data-shuffle")
-    neg_rng = make_rng(cfg.seed, "negative-labels")
 
     metrics = Metrics(seed=cfg.seed)
-    best = net.copy()
+    best = model.copy()
     best_err = np.inf
     stale = 0
 
@@ -117,16 +105,12 @@ def train_loop(cfg: TrainConfig, train: Dataset,
         t0 = time.perf_counter()
         neuron_losses, readout_losses = [], []
         for feats, labels in iter_batches(train, cfg.batch_size, shuffle_rng):
-            fused = fuse_inputs(feats, labels, train.n_classes,
-                                cfg.fusion, neg_rng)
-            net, per_neuron, r_loss = train_iteration(
-                net, fused, freeze_neurons=cfg.freeze_neurons,
-                freeze_readout=cfg.freeze_readout)
-            neuron_losses.append(per_neuron.mean())
-            readout_losses.append(r_loss)
+            neuron_loss, readout_loss = batch_step(feats, labels)
+            neuron_losses.append(neuron_loss)
+            readout_losses.append(readout_loss)
 
-        train_err = evaluate(net, train)
-        val_err = evaluate(net, val) if val.n_samples else train_err
+        train_err = evaluate(model, train)
+        val_err = evaluate(model, val) if val.n_samples else train_err
         metrics.records.append(EpochRecord(
             epoch=epoch,
             neuron_loss=float(np.mean(neuron_losses)),
@@ -136,7 +120,7 @@ def train_loop(cfg: TrainConfig, train: Dataset,
 
         if val_err < best_err:
             best_err = val_err
-            best = net.copy()
+            best = model.copy()
             stale = 0
         else:
             stale += 1
@@ -144,6 +128,30 @@ def train_loop(cfg: TrainConfig, train: Dataset,
                 break
 
     return best, metrics
+
+
+def train_loop(cfg: TrainConfig, train: Dataset,
+               val: Dataset) -> tuple[CyclicNet, Metrics]:
+    """Build the cyclic net and fit it with local forward-forward steps;
+    `_fit` holds the epoch and early-stopping rules."""
+    cfg.validate()
+    topo = generate(replace(cfg.generator, seed=cfg.seed))
+    base_dim = cfg.fusion.fused_dim(train.dim, train.n_classes)
+    net = build_network(topo, base_dim, cfg.d_out, train.n_classes,
+                        cfg.theta, cfg.T, make_rng(cfg.seed, "weights"),
+                        lr=cfg.lr, weight_decay=cfg.weight_decay,
+                        fusion=cfg.fusion)
+    neg_rng = make_rng(cfg.seed, "negative-labels")
+
+    def batch_step(feats, labels):
+        fused = fuse_inputs(feats, labels, train.n_classes, cfg.fusion,
+                            neg_rng)
+        _, per_neuron, r_loss = train_iteration(
+            net, fused, freeze_neurons=cfg.freeze_neurons,
+            freeze_readout=cfg.freeze_readout)
+        return per_neuron.mean(), r_loss
+
+    return _fit(cfg, net, train, val, batch_step)
 
 
 class BPChainMLP:
@@ -212,40 +220,18 @@ class BPChainMLP:
 def bp_chain_baseline(cfg: TrainConfig, train: Dataset,
                       val: Dataset) -> tuple[BPChainMLP, Metrics]:
     """Comparison baseline: conventional end-to-end backprop, same optimizer
-    and early-stopping machinery as the local-learning runs."""
+    and early-stopping machinery (`_fit`) as the local-learning runs."""
     cfg.validate()
     model = BPChainMLP(train.dim, cfg.d_out, train.n_classes,
                        make_rng(cfg.seed, "weights"),
                        lr=cfg.lr, weight_decay=cfg.weight_decay)
-    shuffle_rng = make_rng(cfg.seed, "data-shuffle")
 
-    metrics = Metrics(seed=cfg.seed)
-    best = model.copy()
-    best_err = np.inf
-    stale = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        t0 = time.perf_counter()
-        losses = []
-        for feats, labels in iter_batches(train, cfg.batch_size, shuffle_rng):
-            loss, wg, bg = model.loss_and_grads(feats, labels)
-            model.step(wg, bg)
-            losses.append(loss)
-        train_err = evaluate(model, train)
-        val_err = evaluate(model, val) if val.n_samples else train_err
-        metrics.records.append(EpochRecord(
-            epoch=epoch, neuron_loss=0.0,
-            readout_loss=float(np.mean(losses)),
-            train_err=train_err, val_err=val_err,
-            seconds=time.perf_counter() - t0))
-        if val_err < best_err:
-            best_err = val_err
-            best = model.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    return best, metrics
+    def batch_step(feats, labels):
+        loss, wg, bg = model.loss_and_grads(feats, labels)
+        model.step(wg, bg)
+        return 0.0, loss
+
+    return _fit(cfg, model, train, val, batch_step)
 
 
 def run_config(cfg: TrainConfig, train: Dataset, val: Dataset,
@@ -259,14 +245,3 @@ def run_config(cfg: TrainConfig, train: Dataset, val: Dataset,
         metrics.test_err = evaluate(model, test)
     return model, metrics
 
-
-def sweep(grid: list[TrainConfig], train: Dataset, val: Dataset,
-          test: Dataset) -> list[Metrics]:
-    """Run every config independently and report its test error."""
-    if not grid:
-        raise ValueError("sweep: empty grid")
-    results = []
-    for cfg in grid:
-        _, metrics = run_config(cfg, train, val, test)
-        results.append(metrics)
-    return results

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_images, write_idx_labels
+from cyclicff import cli
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
                           effective_config, main, parse_config_file,
                           to_train_config)
@@ -161,6 +162,20 @@ class TestEvalCommand:
         assert eval_out.strip() == train_out.strip()
 
 
+@pytest.fixture
+def sweep_cfg(tmp_path):
+    p = tmp_path / "s.cfg"
+    p.write_text(SYNTH_CFG + f"out_dir = {tmp_path / 'out'}\n")
+    return str(p)
+
+
+def sweep_rows(args, capsys):
+    """Run `cyclicff sweep` and return its summary rows without header."""
+    assert run_cli(["sweep"] + args) == 0
+    summary = capsys.readouterr().out.strip()
+    return open(summary).read().splitlines()[1:]
+
+
 class TestSweepCommand:
     def test_grid_times_seeds(self, tmp_path, capsys):
         p = tmp_path / "s.cfg"
@@ -193,6 +208,55 @@ class TestSweepCommand:
     def test_unknown_key_exit_2(self, cfg_path):
         assert run_cli(["sweep", "--config", cfg_path,
                         "--set", "bogus=1,2", "--seeds", "1"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--set", "T=1,2", "--seeds", "x"],
+        ["--seeds", "1"],
+        ["--set", "T=1,0", "--seeds", "1"],
+    ], ids=["bad-seeds", "no-axes", "bad-combo"])
+    def test_rejected_before_training(self, cfg_path, monkeypatch, args):
+        calls = []
+        real = cli.run_config
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cli, "run_config", counting)
+        assert run_cli(["sweep", "--config", cfg_path] + args) == 2
+        assert calls == []
+
+    def test_single_run_matches_train(self, sweep_cfg, capsys):
+        assert run_cli(["train", "--config", sweep_cfg, "--seed", "3"]) == 0
+        train_err = float(capsys.readouterr().out.strip().split("=")[1])
+        [row] = sweep_rows(["--config", sweep_cfg, "--set", "T=2",
+                            "--seeds", "3"], capsys)
+        assert row == f"2,{train_err:.6g},0,1"
+
+    def test_data_key_is_swept(self, sweep_cfg, capsys):
+        # Every run builds its own data, so the separation reaches it.
+        rows = sweep_rows(["--config", sweep_cfg,
+                           "--set", "synth_separation=0,20",
+                           "--seeds", "1,2"], capsys)
+        errs = [row.split(",")[1] for row in rows]
+        assert errs[0] != errs[1]
+
+    def test_jobs_do_not_change_summary(self, sweep_cfg, capsys):
+        args = ["sweep", "--config", sweep_cfg, "--set", "T=1,2",
+                "--seeds", "1,2"]
+        assert run_cli(args + ["--jobs", "1"]) == 0
+        summary = capsys.readouterr().out.strip()
+        serial = open(summary, "rb").read()
+        assert run_cli(args + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out.strip() == summary
+        assert open(summary, "rb").read() == serial
+
+    def test_different_axes_keep_separate_summaries(self, sweep_cfg,
+                                                    tmp_path, capsys):
+        for axis in ("T=1,2", "theta=0.5,1.0"):
+            assert run_cli(["sweep", "--config", sweep_cfg, "--set", axis,
+                            "--seeds", "1"]) == 0
+        assert len(os.listdir(tmp_path / "out")) == 2
 
 
 class TestInspectGraph:

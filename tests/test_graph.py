@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cyclicff.graph import (GeneratorSpec, Topology, ba_edge_count,
                             from_edge_list, generate, has_cycle,
-                            predecessors, successors, to_edge_list)
+                            predecessors, to_edge_list)
 
 
 class TestFixedGenerators:
@@ -43,7 +43,7 @@ class TestWS:
         assert set(t.synapses) == expected
         for j in range(8):
             assert len(predecessors(t, j)) == 2
-            assert len(successors(t, j)) == 2
+            assert sum(1 for src, _ in t.synapses if src == j) == 2
 
     def test_rewiring_preserves_edge_count(self):
         for seed in range(5):

@@ -4,27 +4,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cyclicff.numerics import (AdamState, adam_step, l2_normalize,
-                               l2_normalize_rows, make_rng, sigmoid,
-                               softmax_stable)
+from cyclicff.numerics import (AdamState, adam_step, l2_normalize_rows,
+                               make_rng, sigmoid, softmax_stable)
 
 finite_vectors = arrays(np.float64, st.integers(1, 12),
                         elements=st.floats(-1e6, 1e6, allow_nan=False))
 
 
 class TestL2Normalize:
+    # Single vectors are checked as 1-row matrices.
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8])
+        np.testing.assert_allclose(l2_normalize_rows([[3.0, 4.0]]),
+                                   [[0.6, 0.8]])
 
     def test_zero_vector_guarded(self):
-        np.testing.assert_array_equal(l2_normalize([0.0, 0.0]), [0.0, 0.0])
+        np.testing.assert_array_equal(l2_normalize_rows([[0.0, 0.0]]),
+                                      [[0.0, 0.0]])
 
     def test_single_element(self):
-        np.testing.assert_allclose(l2_normalize([5.0]), [1.0])
+        np.testing.assert_allclose(l2_normalize_rows([[5.0]]), [[1.0]])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            l2_normalize([1.0, np.nan])
+            l2_normalize_rows([[1.0, np.nan]])
 
     def test_rows(self):
         m = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
@@ -36,8 +38,8 @@ class TestL2Normalize:
     def test_idempotent_on_nonzero(self, v):
         if np.linalg.norm(v) < 1e-6:
             return
-        once = l2_normalize(v)
-        np.testing.assert_allclose(l2_normalize(once), once, atol=1e-12)
+        once = l2_normalize_rows(v[None, :])
+        np.testing.assert_allclose(l2_normalize_rows(once), once, atol=1e-12)
 
 
 class TestSoftmax:

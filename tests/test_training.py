@@ -8,7 +8,7 @@ from cyclicff.network import predict
 from cyclicff.numerics import make_rng
 from cyclicff.training import (BPChainMLP, Metrics, TrainConfig,
                                bp_chain_baseline, evaluate, run_config,
-                               sweep, train_loop)
+                               train_loop)
 
 
 def make_data(seed=0, n_per_class=200, dim=10, n_classes=2, sep=6.0):
@@ -93,11 +93,15 @@ class TestTrainLoop:
         for r in metrics.records:
             assert r.val_err == r.train_err
 
-    def test_dataset_mismatch(self):
+    @pytest.mark.parametrize("fit", [train_loop, bp_chain_baseline],
+                             ids=["ff", "bp"])
+    @pytest.mark.parametrize("val_kw", [dict(dim=8), dict(n_classes=3)],
+                             ids=["dim", "n_classes"])
+    def test_dataset_mismatch(self, fit, val_kw):
         train, _, _ = make_data(dim=10)
-        _, val, _ = make_data(dim=8)
-        with pytest.raises(ValueError):
-            train_loop(quick_cfg(), train, val)
+        _, val, _ = make_data(**{"dim": 10, **val_kw})
+        with pytest.raises(ValueError, match="mismatch"):
+            fit(quick_cfg(), train, val)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -176,27 +180,6 @@ class TestBPChainBaseline:
         model, metrics = run_config(cfg, train, val, test)
         assert isinstance(model, BPChainMLP)
         assert metrics.test_err is not None
-
-
-class TestSweep:
-    def test_grid_of_one_equals_train_loop(self):
-        train, val, test = make_data()
-        cfg = quick_cfg(max_epochs=2)
-        [swept] = sweep([cfg], train, val, test)
-        _, solo = run_config(cfg, train, val, test)
-        assert swept.test_err == solo.test_err
-
-    def test_empty_grid_rejected(self):
-        train, val, test = make_data()
-        with pytest.raises(ValueError):
-            sweep([], train, val, test)
-
-    def test_multiple_configs_reported(self):
-        train, val, test = make_data()
-        grid = [quick_cfg(T=t, max_epochs=1) for t in (1, 2)]
-        results = sweep(grid, train, val, test)
-        assert len(results) == 2
-        assert all(m.test_err is not None for m in results)
 
 
 class TestMetricsCsv:
