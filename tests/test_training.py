@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, rel_err
+from cyclicff import cli
 from cyclicff.data import split, synth_blobs
 from cyclicff.graph import GeneratorSpec
 from cyclicff.network import predict
@@ -180,6 +181,23 @@ class TestBPChainBaseline:
         model, metrics = run_config(cfg, train, val, test)
         assert isinstance(model, BPChainMLP)
         assert metrics.test_err is not None
+
+
+class TestSweep:
+    def test_multiple_configs_reported(self, tmp_path, capsys):
+        # The sweep lives in the CLI; each config of the grid gets a row
+        # with a test error.
+        p = tmp_path / "s.cfg"
+        p.write_text("dataset = synth\nsynth_n_per_class = 60\n"
+                     "synth_dim = 8\ngraph = complete\nn = 3\n"
+                     "d_out = 8\nmax_epochs = 1\n"
+                     f"out_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["sweep", "--config", str(p), "--set", "T=1,2",
+                         "--seeds", "0"]) == 0
+        summary = capsys.readouterr().out.strip()
+        rows = [ln.split(",") for ln in open(summary).read().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["1", "2"]
+        assert all(0.0 <= float(r[1]) <= 100.0 for r in rows)
 
 
 class TestMetricsCsv:
