@@ -142,12 +142,46 @@ def _data_path(cfg_value: str) -> str:
     return os.path.join(root, cfg_value)
 
 
+def _parse(cfg: dict[str, str], key: str, kind: type):
+    try:
+        return kind(cfg[key])
+    except ValueError:
+        raise ConfigError(
+            f"{key}: expected {kind.__name__}, got {cfg[key]!r}") from None
+
+
+def _data_settings(cfg: dict[str, str]) -> dict:
+    """Parse and range-check the data keys the config's dataset uses, so a
+    bad value is a config error before any run trains."""
+    kind = cfg["dataset"]
+    if kind not in ("mnist", "embeddings", "synth"):
+        raise ConfigError(f"unknown dataset {kind!r}")
+    s = {"seed": _parse(cfg, "seed", int)}
+    if kind == "mnist":
+        return s
+    s["val_fraction"] = _parse(cfg, "val_fraction", float)
+    if not 0.0 <= s["val_fraction"] < 1.0:
+        raise ConfigError("val_fraction must be in [0, 1)")
+    if kind == "synth":
+        n, dim, classes = (_parse(cfg, k, int) for k in (
+            "synth_n_per_class", "synth_dim", "synth_classes"))
+        sep = _parse(cfg, "synth_separation", float)
+        if n < 1 or dim < 1 or classes < 1:
+            raise ConfigError(
+                "synth_n_per_class, synth_dim and synth_classes must be >= 1")
+        if classes > dim:
+            raise ConfigError(f"synth_classes {classes} > synth_dim {dim}")
+        if not (np.isfinite(sep) and sep >= 0):
+            raise ConfigError("synth_separation must be finite and >= 0")
+        s.update(n=n, dim=dim, classes=classes, sep=sep)
+    return s
+
+
 def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
     """Resolve (train, val, test) from the config's dataset block."""
-    kind = cfg["dataset"]
-    seed = int(cfg["seed"])
-    val_fraction = float(cfg["val_fraction"])
-    if kind == "mnist":
+    s = _data_settings(cfg)
+    seed = s["seed"]
+    if cfg["dataset"] == "mnist":
         # Fixed 50k/10k/10k split of the canonical files.
         full = load_mnist_idx(_data_path(cfg["mnist_images"]),
                               _data_path(cfg["mnist_labels"]))
@@ -156,22 +190,17 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
         test = load_mnist_idx(_data_path(cfg["mnist_test_images"]),
                               _data_path(cfg["mnist_test_labels"]))
         return train, val, test
-    if kind == "embeddings":
+    if cfg["dataset"] == "embeddings":
         full = load_embeddings(_data_path(cfg["embeddings_train"]))
-        train, val = split(full, val_fraction, make_rng(seed, "data-shuffle"))
+        train, val = split(full, s["val_fraction"],
+                           make_rng(seed, "data-shuffle"))
         test = load_embeddings(_data_path(cfg["embeddings_test"]))
         return train, val, test
-    if kind == "synth":
-        n = int(cfg["synth_n_per_class"])
-        dim = int(cfg["synth_dim"])
-        classes = int(cfg["synth_classes"])
-        sep = float(cfg["synth_separation"])
-        full = synth_blobs(n, dim, classes, sep, make_rng(seed, 100))
-        train, val = split(full, val_fraction, make_rng(seed, "data-shuffle"))
-        test = synth_blobs(max(n // 4, 1), dim, classes, sep,
-                           make_rng(seed, 101))
-        return train, val, test
-    raise ConfigError(f"unknown dataset {cfg['dataset']!r}")
+    n, dim, classes, sep = s["n"], s["dim"], s["classes"], s["sep"]
+    full = synth_blobs(n, dim, classes, sep, make_rng(seed, 100))
+    train, val = split(full, s["val_fraction"], make_rng(seed, "data-shuffle"))
+    test = synth_blobs(max(n // 4, 1), dim, classes, sep, make_rng(seed, 101))
+    return train, val, test
 
 
 def config_hash(cfg: dict[str, str]) -> str:
@@ -266,6 +295,9 @@ def cmd_sweep(args) -> int:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"--set: unknown key {key!r}")
+        if key == "out_dir":
+            raise ConfigError("sweep: out_dir cannot be swept; the summary "
+                              "goes to the config's out_dir")
         vals = [v.strip() for v in values.split(",") if v.strip()]
         if not vals:
             raise ConfigError(f"--set {key}: empty value list")
@@ -289,6 +321,7 @@ def cmd_sweep(args) -> int:
     # Reject a bad value in any combo before the first run trains.
     for cfg in jobs:
         to_train_config(cfg)
+        _data_settings(cfg)
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -4,6 +4,11 @@ gradient.
 
 Gradients stop at the neuron boundary: the normalized input is a constant
 with respect to W, so the chain rule covers only ReLU o linear.
+
+The normalisation is applied after the matmul: a per-row scale commutes
+with the linear map, (h / ||h||) @ W.T = (h @ W.T) / ||h||, so only the
+(batch x d_out) product is scaled and no normalized copy of the wider
+input is built. The gradient carries the same row scale on dz.
 """
 
 from __future__ import annotations
@@ -42,13 +47,12 @@ def init_neuron(d_in: int, d_out: int, theta: float,
 
 
 def _forward_parts(p: NeuronParams, h_in: np.ndarray):
-    """Returns (normalized input, pre-activation, output)."""
+    """Returns (input, pre-activation, output)."""
     if h_in.shape[1] != p.d_in:
         raise ValueError(
             f"neuron_forward: input has {h_in.shape[1]} cols, expected {p.d_in}")
-    h_tilde = l2_normalize_rows(h_in)
-    z = h_tilde @ p.W.T
-    return h_tilde, z, relu(z)
+    z = l2_normalize_rows(h_in @ p.W.T, h_in)
+    return h_in, z, relu(z)
 
 
 def neuron_forward(p: NeuronParams, h_in: np.ndarray) -> np.ndarray:
@@ -82,8 +86,8 @@ def ff_loss_grad_outputs(p: NeuronParams, h_in_pos: np.ndarray,
         raise ValueError("ff_loss: pos/neg batch size mismatch")
     batch = h_in_pos.shape[0]
 
-    ht_pos, z_pos, h_pos = _forward_parts(p, h_in_pos)
-    ht_neg, z_neg, h_neg = _forward_parts(p, h_in_neg)
+    _, z_pos, h_pos = _forward_parts(p, h_in_pos)
+    _, z_neg, h_neg = _forward_parts(p, h_in_neg)
 
     p_pos = goodness(h_pos, p.theta)
     p_neg = goodness(h_neg, p.theta)
@@ -96,7 +100,8 @@ def ff_loss_grad_outputs(p: NeuronParams, h_in_pos: np.ndarray,
     da_neg = p_neg / batch
     dz_pos = (da_pos[:, None] * 2.0 * h_pos) * (z_pos > 0)
     dz_neg = (da_neg[:, None] * 2.0 * h_neg) * (z_neg > 0)
-    grad = dz_pos.T @ ht_pos + dz_neg.T @ ht_neg
+    grad = (l2_normalize_rows(dz_pos, h_in_pos).T @ h_in_pos
+            + l2_normalize_rows(dz_neg, h_in_neg).T @ h_in_neg)
     return float(loss), grad, h_pos, h_neg
 
 

@@ -36,14 +36,26 @@ def make_rng(seed: int, stream: int | str = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Each row of a (batch x dim) matrix over max(||row||_2, 1e-8); the
-    guard makes a zero row a fixed point."""
+def l2_normalize_rows(m: np.ndarray,
+                      by: np.ndarray | None = None) -> np.ndarray:
+    """Each row of a (batch x dim) matrix over max(||row of by||_2, 1e-8);
+    `by` defaults to `m`. The guard makes a zero row a fixed point.
+
+    A per-row scale commutes with a linear map, so a neuron can normalise
+    its (batch x d_out) product by its input's row norms instead of
+    normalising the wider input.
+    """
     m = np.asarray(m, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
+    by = m if by is None else np.asarray(by, dtype=np.float64)
+    if by.shape[0] != m.shape[0]:
+        raise ValueError(
+            f"l2_normalize_rows: {m.shape[0]} rows scaled by {by.shape[0]}")
+    sq = np.einsum("ij,ij->i", by, by)
+    # A non-finite entry always makes its row sum non-finite; a huge finite
+    # one can overflow it too, so only then are the entries scanned.
+    if not np.isfinite(sq).all() and not np.isfinite(by).all():
         raise ValueError("l2_normalize_rows: non-finite input")
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return m / np.maximum(norms, EPS_NORM)
+    return m / np.maximum(np.sqrt(sq), EPS_NORM)[:, None]
 
 
 def softmax_stable(logits: np.ndarray) -> np.ndarray:
@@ -100,7 +112,8 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grad: np.ndarray,
               state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new params, mutates state."""
+    """One bias-corrected Adam update; returns new params and updates the
+    state's moments in place."""
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ValueError(
             f"adam_step: shape mismatch params {params.shape} "
@@ -112,9 +125,22 @@ def adam_step(params: np.ndarray, grad: np.ndarray,
     if state.weight_decay != 0.0:
         g = grad + state.weight_decay * params
 
+    # The moments are updated in place through one temporary; every
+    # product and sum is the one of the textbook formula, in its order:
+    # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
+    # params - lr (m / c1) / (sqrt(v / c2) + eps).
     state.t += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), state
+    tmp = (1.0 - ADAM_BETA1) * g
+    state.m *= ADAM_BETA1
+    state.m += tmp
+    np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
+    tmp *= g
+    state.v *= ADAM_BETA2
+    state.v += tmp
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** state.t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    step = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    step *= state.lr
+    step /= tmp
+    return np.subtract(params, step, out=step), state

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from cyclicff import data, graph, network, neuron, numerics
+from cyclicff import data, graph, network, neuron, numerics, training
 from cyclicff.graph import GeneratorSpec
 from cyclicff.numerics import make_rng
 
@@ -41,3 +41,33 @@ def test_install_and_uninstall(bench):
     assert tracer.stats["network.predict"].counts["rows"] == 5
     for m, before in originals.items():
         assert all(vars(m)[k] is v for k, v in before.items()), m.__name__
+
+
+def test_training_spans_record_calls(bench):
+    # The counters are called with each traced function's own arguments,
+    # so a changed signature of a counted function fails here.
+    run, tracing = bench
+    full = data.synth_blobs(12, 5, 2, 3.0, make_rng(0, 100))
+    train, val = data.split(full, 0.25, make_rng(0, "data-shuffle"))
+    cfg = training.TrainConfig(generator=GeneratorSpec("complete", 3),
+                               d_out=4, T=2, batch_size=8, max_epochs=2)
+    tracer = tracing.Tracer()
+    run.install(tracer)
+    try:
+        net, _ = training.train_loop(cfg, train, val)
+        training.evaluate(net, val)
+    finally:
+        tracer.uninstall()
+    for name in ("data.fuse_inputs", "numerics.adam_step",
+                 "neuron.ff_loss_grad_outputs", "neuron.neuron_forward",
+                 "numerics.l2_normalize_rows", "network.train_iteration",
+                 "network.predict", "training.train_loop",
+                 "training.evaluate"):
+        assert tracer.stats[name].calls > 0, name
+    for name, key in (("data.fuse_inputs", "bytes_computed"),
+                      ("numerics.adam_step", "bytes_computed"),
+                      ("neuron.ff_loss_grad_outputs", "flops_computed"),
+                      ("neuron.neuron_forward", "flops_computed"),
+                      ("network.predict", "rows"),
+                      ("training.evaluate", "rows")):
+        assert tracer.stats[name].counts[key] > 0, name

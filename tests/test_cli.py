@@ -128,6 +128,18 @@ class TestTrainCommand:
                       "--set", f"mnist_images={tmp_path}/nope"])
         assert rc == 2
 
+    @pytest.mark.parametrize("value", [
+        "synth_dim=x", "synth_classes=30", "val_fraction=1.5",
+        "synth_separation=-1", "synth_n_per_class=0"])
+    def test_bad_data_value_exit_2(self, cfg_path, tmp_path, monkeypatch,
+                                   value):
+        calls = []
+        monkeypatch.setattr(cli, "run_config",
+                            lambda *a, **kw: calls.append(1))
+        assert run_cli(["train", "--config", cfg_path, "--set", value,
+                        "--set", f"out_dir={tmp_path / 'out'}"]) == 2
+        assert calls == []
+
     def test_bad_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense = 1\n")
@@ -213,7 +225,11 @@ class TestSweepCommand:
         ["--set", "T=1,2", "--seeds", "x"],
         ["--seeds", "1"],
         ["--set", "T=1,0", "--seeds", "1"],
-    ], ids=["bad-seeds", "no-axes", "bad-combo"])
+        ["--set", "synth_dim=8,x", "--seeds", "1"],
+        ["--set", "T=1,2", "--set", "val_fraction=0.2,1.5", "--seeds", "1"],
+        ["--set", "out_dir=a,b", "--seeds", "1"],
+    ], ids=["bad-seeds", "no-axes", "bad-combo", "bad-data-value",
+            "bad-data-combo", "out-dir-axis"])
     def test_rejected_before_training(self, cfg_path, monkeypatch, args):
         calls = []
         real = cli.run_config

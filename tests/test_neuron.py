@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, rel_err
-from cyclicff.neuron import (NeuronParams, ff_loss_and_grad, goodness,
-                             init_neuron, neuron_forward, neuron_step)
-from cyclicff.numerics import AdamState, make_rng, sigmoid
+from cyclicff.neuron import (NeuronParams, ff_loss_and_grad,
+                             ff_loss_grad_outputs, goodness, init_neuron,
+                             neuron_forward, neuron_step)
+from cyclicff.numerics import (AdamState, l2_normalize_rows, make_rng, relu,
+                               sigmoid)
 
 
 def make_neuron(W, theta=0.0, lr=1e-3):
@@ -33,6 +35,74 @@ class TestForward:
         p = make_neuron(np.eye(2))
         with pytest.raises(ValueError):
             neuron_forward(p, np.zeros((1, 3)))
+
+
+class TestNormaliseAfterMatmul:
+    """The neuron scales its (batch x d_out) product by the input row norms.
+    The reference normalises the input first, as the model is defined;
+    the two differ only in rounding, checked to a tolerance of 1e-12 of
+    the largest reference value."""
+
+    # (d_in, d_out) of the benchmark workloads' neurons: small-synth,
+    # MNIST-shaped, and the narrowest and widest ws16 neuron.
+    SHAPES = [(174, 50), (1384, 200), (88, 32), (248, 32)]
+
+    @staticmethod
+    def reference(p, pos, neg):
+        outs, grad = [], 0.0
+        for h, positive in ((pos, True), (neg, False)):
+            h_tilde = l2_normalize_rows(h)
+            z = h_tilde @ p.W.T
+            out = relu(z)
+            prob = goodness(out, p.theta)
+            da = -(1.0 - prob) if positive else prob
+            dz = (da[:, None] / len(h) * 2.0 * out) * (z > 0)
+            grad = grad + dz.T @ h_tilde
+            outs.append(out)
+        return outs, grad
+
+    @staticmethod
+    def assert_close(actual, ref):
+        np.testing.assert_allclose(actual, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    def check(self, p, pos, neg):
+        (ref_pos, ref_neg), ref_grad = self.reference(p, pos, neg)
+        self.assert_close(neuron_forward(p, pos), ref_pos)
+        _, grad, h_pos, h_neg = ff_loss_grad_outputs(p, pos, neg)
+        self.assert_close(h_pos, ref_pos)
+        self.assert_close(h_neg, ref_neg)
+        self.assert_close(grad, ref_grad)
+
+    @pytest.mark.parametrize("batch", [64, 1])
+    @pytest.mark.parametrize("d_in,d_out", SHAPES)
+    def test_matches_normalise_first(self, d_in, d_out, batch):
+        rng = make_rng(d_in + batch, 0)
+        p = init_neuron(d_in, d_out, 0.2, rng)
+        self.check(p, rng.standard_normal((batch, d_in)),
+                   rng.standard_normal((batch, d_in)))
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-10], ids=["zero", "tiny"])
+    def test_row_below_norm_guard(self, scale):
+        # A row with norm under 1e-8 is divided by the guard, not its norm.
+        rng = make_rng(12, 0)
+        p = init_neuron(88, 32, 0.2, rng)
+        pos = rng.standard_normal((4, 88))
+        neg = rng.standard_normal((4, 88))
+        pos[1] *= scale / np.linalg.norm(pos[1])
+        neg[2] *= scale / np.linalg.norm(neg[2])
+        self.check(p, pos, neg)
+        if scale == 0.0:
+            assert not np.any(neuron_forward(p, pos)[1])
+
+    def test_nan_input_rejected(self):
+        p = init_neuron(5, 3, 1.0, make_rng(13, 0))
+        h = np.ones((2, 5))
+        h[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            neuron_forward(p, h)
+        with pytest.raises(ValueError):
+            ff_loss_grad_outputs(p, np.ones((2, 5)), h)
 
 
 class TestGoodness:

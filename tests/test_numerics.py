@@ -42,6 +42,50 @@ class TestL2Normalize:
         np.testing.assert_allclose(l2_normalize_rows(once), once, atol=1e-12)
 
 
+class TestL2NormalizeBy:
+    # `by` supplies the row norms; the rows scaled are those of `m`.
+    def test_by_self_same_bits_as_default(self):
+        m = make_rng(5, 0).standard_normal((7, 13))
+        np.testing.assert_array_equal(l2_normalize_rows(m, m),
+                                      l2_normalize_rows(m))
+
+    def test_scales_rows_by_other_norms(self):
+        out = l2_normalize_rows([[1.0, 2.0], [6.0, 0.0]],
+                                [[3.0, 4.0], [0.0, 2.0]])
+        np.testing.assert_allclose(out, [[0.2, 0.4], [3.0, 0.0]],
+                                   rtol=1e-15)
+
+    def test_zero_row_of_by_gives_zero_row(self):
+        rng = make_rng(6, 0)
+        h = rng.standard_normal((3, 5))
+        h[1] = 0.0
+        out = l2_normalize_rows(h @ rng.standard_normal((5, 4)), h)
+        np.testing.assert_array_equal(out[1], np.zeros(4))
+        assert np.all(out[[0, 2]] != 0.0)
+
+    def test_rejects_nan_in_by(self):
+        with pytest.raises(ValueError):
+            l2_normalize_rows(np.ones((2, 2)), [[1.0, 1.0], [np.nan, 1.0]])
+
+    def test_rejects_inf_in_by(self):
+        with pytest.raises(ValueError):
+            l2_normalize_rows(np.ones((1, 2)), [[np.inf, 1.0]])
+
+    def test_huge_finite_row_is_not_rejected(self):
+        # The squared norm overflows to inf, so the row scales to zero
+        # without an error, with or without `by`.
+        np.testing.assert_array_equal(l2_normalize_rows([[1e200, 1e200]]),
+                                      [[0.0, 0.0]])
+        out = l2_normalize_rows([[3.0, 4.0], [3.0, 4.0]],
+                                [[1e200, 1e200], [3.0, 4.0]])
+        np.testing.assert_allclose(out, [[0.0, 0.0], [0.6, 0.8]],
+                                   rtol=1e-15)
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(ValueError):
+            l2_normalize_rows(np.ones((2, 3)), np.ones((3, 3)))
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_allclose(softmax_stable(np.zeros(2)), [0.5, 0.5])
@@ -124,6 +168,41 @@ class TestAdam:
         state = AdamState.for_param(p)
         with pytest.raises(ValueError):
             adam_step(p, np.zeros((2, 3)), state)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_bitwise_textbook_formula(self, weight_decay):
+        rng = make_rng(8, 0)
+        p = rng.standard_normal((6, 5))
+        state = AdamState.for_param(p, lr=0.01, weight_decay=weight_decay)
+        q, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        for t in range(1, 6):
+            g = rng.standard_normal(p.shape)
+            p, state = adam_step(p, g, state)
+            g = g + weight_decay * q if weight_decay else g
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9 ** t)
+            v_hat = v / (1.0 - 0.999 ** t)
+            q = q - state.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            np.testing.assert_array_equal(p, q)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+
+    def test_moments_in_place_and_copy_independent(self):
+        rng = make_rng(9, 0)
+        p = rng.standard_normal((3, 4))
+        state = AdamState.for_param(p)
+        p, state = adam_step(p, rng.standard_normal(p.shape), state)
+        m, v = state.m, state.v
+        snap = state.copy()
+        saved = snap.m.copy(), snap.v.copy()
+        adam_step(p, rng.standard_normal(p.shape), state)
+        assert state.m is m and state.v is v
+        assert not np.shares_memory(snap.m, state.m)
+        assert not np.shares_memory(snap.v, state.v)
+        np.testing.assert_array_equal(snap.m, saved[0])
+        np.testing.assert_array_equal(snap.v, saved[1])
+        assert snap.t == 1 and state.t == 2
 
     def test_nonfinite_grad(self):
         p = np.zeros(2)
