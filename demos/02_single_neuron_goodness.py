@@ -9,11 +9,12 @@ below.
 
 import numpy as np
 
-from cyclicff.neuron import ff_loss_and_grad, goodness, init_neuron, neuron_forward, neuron_step
-from cyclicff.numerics import make_rng
+from cyclicff.neuron import ff_loss_and_grad, goodness, init_neuron, neuron_forward
+from cyclicff.numerics import AdamState, adam_step, make_rng
 
 rng = make_rng(0, "weights")
-neuron = init_neuron(d_in=10, d_out=16, theta=1.0, rng=rng, lr=1e-2)
+neuron = init_neuron(d_in=10, d_out=16, theta=1.0, rng=rng)
+adam = AdamState.for_param(neuron.W, lr=1e-2)
 
 feats = rng.standard_normal((32, 8))
 pos = np.hstack([feats, np.tile([1.0, 0.0], (32, 1))])
@@ -26,4 +27,4 @@ for step in range(501):
         p_pos = goodness(neuron_forward(neuron, pos), neuron.theta).mean()
         p_neg = goodness(neuron_forward(neuron, neg), neuron.theta).mean()
         print(f"{step:4d}  {loss:7.3f}  {p_pos:.3f}  {p_neg:.3f}")
-    neuron_step(neuron, grad)
+    neuron.W, _ = adam_step(neuron.W, grad, adam)

@@ -177,24 +177,35 @@ def _data_settings(cfg: dict[str, str]) -> dict:
     return s
 
 
+def _load_file(loader, *paths):
+    """`loader(*paths)`, with a malformed file reported as an input error
+    (exit 2) rather than a runtime failure."""
+    try:
+        return loader(*paths)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
     """Resolve (train, val, test) from the config's dataset block."""
     s = _data_settings(cfg)
     seed = s["seed"]
     if cfg["dataset"] == "mnist":
         # Fixed 50k/10k/10k split of the canonical files.
-        full = load_mnist_idx(_data_path(cfg["mnist_images"]),
-                              _data_path(cfg["mnist_labels"]))
+        full = _load_file(load_mnist_idx, _data_path(cfg["mnist_images"]),
+                          _data_path(cfg["mnist_labels"]))
         train = full.subset(np.arange(0, 50000))
         val = full.subset(np.arange(50000, full.n_samples))
-        test = load_mnist_idx(_data_path(cfg["mnist_test_images"]),
-                              _data_path(cfg["mnist_test_labels"]))
+        test = _load_file(load_mnist_idx,
+                          _data_path(cfg["mnist_test_images"]),
+                          _data_path(cfg["mnist_test_labels"]))
         return train, val, test
     if cfg["dataset"] == "embeddings":
-        full = load_embeddings(_data_path(cfg["embeddings_train"]))
+        full = _load_file(load_embeddings,
+                          _data_path(cfg["embeddings_train"]))
         train, val = split(full, s["val_fraction"],
                            make_rng(seed, "data-shuffle"))
-        test = load_embeddings(_data_path(cfg["embeddings_test"]))
+        test = _load_file(load_embeddings, _data_path(cfg["embeddings_test"]))
         return train, val, test
     n, dim, classes, sep = s["n"], s["dim"], s["classes"], s["sep"]
     full = synth_blobs(n, dim, classes, sep, make_rng(seed, 100))
@@ -262,7 +273,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = effective_config(args.config, args.set)
-    net = load_checkpoint(args.checkpoint)
+    net = _load_file(load_checkpoint, args.checkpoint)
     _, _, test = load_datasets(cfg)
     print(f"test_error_pct={evaluate(net, test)}")
     return 0

@@ -125,30 +125,30 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
+def read_exact(f, n: int, what: str) -> bytes:
+    """The next n bytes of a `what` file; ValueError if it ends first."""
+    raw = f.read(n)
+    if len(raw) != n:
+        raise ValueError(f"{what}: truncated, {len(raw)} of {n} bytes read")
+    return raw
+
+
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Load the big-endian IDX image/label pair; pixels scaled to [0, 1]."""
     with _open_maybe_gzip(images_path) as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise ValueError("IDX images: truncated header")
-        magic, count, rows, cols = struct.unpack(">iiii", header)
+        magic, count, rows, cols = struct.unpack(
+            ">iiii", read_exact(f, 16, "IDX images"))
         if magic != MNIST_IMAGE_MAGIC:
             raise ValueError(f"IDX images: bad magic {magic}")
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise ValueError("IDX images: truncated payload")
+        raw = read_exact(f, count * rows * cols, "IDX images")
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
 
     with _open_maybe_gzip(labels_path) as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise ValueError("IDX labels: truncated header")
-        magic, label_count = struct.unpack(">ii", header)
+        magic, label_count = struct.unpack(
+            ">ii", read_exact(f, 8, "IDX labels"))
         if magic != MNIST_LABEL_MAGIC:
             raise ValueError(f"IDX labels: bad magic {magic}")
-        raw = f.read(label_count)
-        if len(raw) != label_count:
-            raise ValueError("IDX labels: truncated payload")
+        raw = read_exact(f, label_count, "IDX labels")
         labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
     if count != label_count:
@@ -162,21 +162,21 @@ def load_embeddings(path) -> Dataset:
     """Load the little-endian CNNE embedding export.
 
     Layout: magic "CNNE", u32 version, u32 n_samples, u32 dim, u32 n_classes,
-    then n_samples*dim float32 features, then n_samples uint16 labels.
+    then n_samples*dim float32 features, then n_samples uint16 labels, and
+    nothing after them.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != EMBEDDING_MAGIC:
             raise ValueError(f"embeddings: bad magic {magic!r}")
-        version, n, dim, n_classes = struct.unpack("<IIII", f.read(16))
+        version, n, dim, n_classes = struct.unpack(
+            "<IIII", read_exact(f, 16, "embeddings"))
         if version != EMBEDDING_VERSION:
             raise ValueError(f"embeddings: unsupported version {version}")
-        feat_raw = f.read(n * dim * 4)
-        if len(feat_raw) != n * dim * 4:
-            raise ValueError("embeddings: truncated feature payload")
-        label_raw = f.read(n * 2)
-        if len(label_raw) != n * 2:
-            raise ValueError("embeddings: truncated label payload")
+        feat_raw = read_exact(f, n * dim * 4, "embeddings")
+        label_raw = read_exact(f, n * 2, "embeddings")
+        if f.read(1):
+            raise ValueError("embeddings: trailing bytes after the labels")
         features = np.frombuffer(feat_raw, dtype="<f4").astype(np.float64)
         labels = np.frombuffer(label_raw, dtype="<u2").astype(np.int64)
     return Dataset(features.reshape(n, dim), labels, n_classes, name="embeddings")

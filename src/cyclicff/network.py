@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .data import FusionMode, FusedBatch, neutral_fusion
+from .data import FusionMode, FusedBatch, neutral_fusion, read_exact
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
-                     ff_loss_grad_outputs, neuron_step)
-from .numerics import AdamState, adam_step, softmax_stable
+                     ff_loss_grad_outputs)
+from .numerics import AdamState, adam_step, softmax_xent
 
 CHECKPOINT_MAGIC = b"CNN1"
 CHECKPOINT_VERSION = 1
@@ -44,6 +45,7 @@ class PropagationState:
 class CyclicNet:
     topology: Topology
     neurons: list[NeuronParams]
+    neuron_adam: list[AdamState]   # one per neuron, for its W
     readout_W: np.ndarray          # (n_classes, sum of d_out)
     readout_adam: AdamState
     base_dim: int                  # fused input dimension
@@ -66,6 +68,7 @@ class CyclicNet:
     def copy(self) -> "CyclicNet":
         return CyclicNet(topology=self.topology,
                          neurons=[n.copy() for n in self.neurons],
+                         neuron_adam=[s.copy() for s in self.neuron_adam],
                          readout_W=self.readout_W.copy(),
                          readout_adam=self.readout_adam.copy(),
                          base_dim=self.base_dim, T=self.T,
@@ -85,13 +88,13 @@ def build_network(t: Topology, base_dim: int, d_out: int, n_classes: int,
     neurons = []
     for j in range(t.n_neurons):
         d_in = base_dim + d_out * len(predecessors(t, j))
-        neurons.append(init_neuron(d_in, d_out, theta, rng,
-                                   lr=lr, weight_decay=weight_decay))
+        neurons.append(init_neuron(d_in, d_out, theta, rng))
     readout_cols = d_out * t.n_neurons
     readout_W = np.zeros((n_classes, readout_cols))
-    return CyclicNet(topology=t, neurons=neurons, readout_W=readout_W,
-                     readout_adam=AdamState.for_param(readout_W, lr=lr,
-                                                      weight_decay=weight_decay),
+    adam = partial(AdamState.for_param, lr=lr, weight_decay=weight_decay)
+    return CyclicNet(topology=t, neurons=neurons,
+                     neuron_adam=[adam(p.W) for p in neurons],
+                     readout_W=readout_W, readout_adam=adam(readout_W),
                      base_dim=base_dim, T=T, n_classes=n_classes,
                      fusion=fusion)
 
@@ -138,15 +141,8 @@ def readout_forward_loss_grad(net: CyclicNet, neu_outputs: list[np.ndarray],
         raise ValueError(
             f"readout: input has {x.shape[1]} cols, "
             f"expected {net.readout_W.shape[1]}")
-    logits = x @ net.readout_W.T
-    y_hat = softmax_stable(logits)
-    batch = len(labels)
-    picked = np.clip(y_hat[np.arange(batch), labels], 1e-12, None)
-    loss = float(-np.mean(np.log(picked)))
-    delta = y_hat.copy()
-    delta[np.arange(batch), labels] -= 1.0
-    grad = delta.T @ x / batch
-    return y_hat, loss, grad
+    y_hat, loss, delta = softmax_xent(x @ net.readout_W.T, labels)
+    return y_hat, loss, delta.T @ x / len(labels)
 
 
 def train_iteration(net: CyclicNet, fused: FusedBatch,
@@ -182,8 +178,8 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
             loss_sums[j] += loss
         # All forwards done with pre-update weights; only now step.
         if not freeze_neurons:
-            for j in range(n):
-                neuron_step(net.neurons[j], grads[j])
+            for p, g, s in zip(net.neurons, grads, net.neuron_adam):
+                p.W, _ = adam_step(p.W, g, s)
         state = PropagationState(pos=new_pos, neg=new_neg, neu=new_neu)
 
     _, readout_loss, readout_grad = readout_forward_loss_grad(
@@ -258,30 +254,37 @@ def save_checkpoint(net: CyclicNet, path) -> None:
 
 
 def load_checkpoint(path) -> CyclicNet:
+    """Read a `save_checkpoint` file; a short or overlong file is a
+    ValueError. The Adam states start fresh: moments are not saved."""
+    def unpack(fmt):
+        return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt),
+                                              "checkpoint"))
+
+    def matrix(rows, cols):
+        raw = read_exact(f, rows * cols * 4, "checkpoint")
+        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(
+            rows, cols)
+
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ValueError("checkpoint: bad magic")
-        version, T, base_dim, n_classes, fusion_flag = struct.unpack(
-            "<IIIII", f.read(20))
+        version, T, base_dim, n_classes, fusion_flag = unpack("<IIIII")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"checkpoint: unsupported version {version}")
-        n, n_edges = struct.unpack("<II", f.read(8))
-        edges = [struct.unpack("<II", f.read(8)) for _ in range(n_edges)]
-        topo = Topology(n_neurons=n, synapses=tuple(edges))
+        n, n_edges = unpack("<II")
+        edges = [unpack("<II") for _ in range(n_edges)]
         neurons = []
         for _ in range(n):
-            d_in, d_out, theta = struct.unpack("<IId", f.read(16))
-            W = np.frombuffer(f.read(d_in * d_out * 4),
-                              dtype="<f4").astype(np.float64)
-            W = W.reshape(d_out, d_in)
-            neurons.append(NeuronParams(W=W, adam=AdamState.for_param(W),
-                                        theta=theta, d_in=d_in, d_out=d_out))
-        rows, cols = struct.unpack("<II", f.read(8))
-        readout_W = np.frombuffer(f.read(rows * cols * 4),
-                                  dtype="<f4").astype(np.float64)
-        readout_W = readout_W.reshape(rows, cols)
+            d_in, d_out, theta = unpack("<IId")
+            neurons.append(NeuronParams(matrix(d_out, d_in), theta))
+        readout_W = matrix(*unpack("<II"))
+        if f.read(1):
+            raise ValueError("checkpoint: trailing bytes after the readout")
     fusion = FusionMode("overlay" if fusion_flag else "concat")
-    return CyclicNet(topology=topo, neurons=neurons, readout_W=readout_W,
+    return CyclicNet(topology=Topology(n_neurons=n, synapses=tuple(edges)),
+                     neurons=neurons,
+                     neuron_adam=[AdamState.for_param(p.W) for p in neurons],
+                     readout_W=readout_W,
                      readout_adam=AdamState.for_param(readout_W),
                      base_dim=base_dim, T=T, n_classes=n_classes,
                      fusion=fusion)

@@ -17,33 +17,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import AdamState, adam_step, l2_normalize_rows, relu, sigmoid
+from .numerics import l2_normalize_rows, relu, sigmoid
 
 PROB_CLAMP = 1e-12
 
 
 @dataclass
 class NeuronParams:
+    """Model state only; the Adam state is in `CyclicNet.neuron_adam`."""
     W: np.ndarray          # (d_out, d_in)
-    adam: AdamState
     theta: float
-    d_in: int
-    d_out: int
+
+    @property
+    def d_in(self) -> int:
+        return self.W.shape[1]
+
+    @property
+    def d_out(self) -> int:
+        return self.W.shape[0]
 
     def copy(self) -> "NeuronParams":
-        return NeuronParams(W=self.W.copy(), adam=self.adam.copy(),
-                            theta=self.theta, d_in=self.d_in, d_out=self.d_out)
+        return NeuronParams(self.W.copy(), self.theta)
 
 
 def init_neuron(d_in: int, d_out: int, theta: float,
-                rng: np.random.Generator, lr: float = 1e-3,
-                weight_decay: float = 0.0) -> NeuronParams:
+                rng: np.random.Generator) -> NeuronParams:
     """Uniform init on [-1/sqrt(d_in), +1/sqrt(d_in)]."""
     bound = 1.0 / np.sqrt(d_in)
-    W = rng.uniform(-bound, bound, size=(d_out, d_in))
-    return NeuronParams(W=W, adam=AdamState.for_param(W, lr=lr,
-                                                      weight_decay=weight_decay),
-                        theta=theta, d_in=d_in, d_out=d_out)
+    return NeuronParams(rng.uniform(-bound, bound, size=(d_out, d_in)), theta)
 
 
 def _forward_parts(p: NeuronParams, h_in: np.ndarray):
@@ -103,9 +104,3 @@ def ff_loss_grad_outputs(p: NeuronParams, h_in_pos: np.ndarray,
     grad = (l2_normalize_rows(dz_pos, h_in_pos).T @ h_in_pos
             + l2_normalize_rows(dz_neg, h_in_neg).T @ h_in_neg)
     return float(loss), grad, h_pos, h_neg
-
-
-def neuron_step(p: NeuronParams, grad_W: np.ndarray) -> NeuronParams:
-    """Apply one Adam update to W in place."""
-    p.W, p.adam = adam_step(p.W, grad_W, p.adam)
-    return p

@@ -70,6 +70,18 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def softmax_xent(logits: np.ndarray, labels: np.ndarray):
+    """(softmax y_hat, mean NLL of the labels with each probability clipped
+    at 1e-12, y_hat - onehot): the last is the loss gradient w.r.t. the
+    logits times the batch size, left for the caller to divide."""
+    y_hat = softmax_stable(logits)
+    rows = np.arange(len(labels))
+    loss = float(-np.mean(np.log(np.clip(y_hat[rows, labels], 1e-12, None))))
+    delta = y_hat.copy()
+    delta[rows, labels] -= 1.0
+    return y_hat, loss, delta
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)

@@ -11,7 +11,7 @@ import numpy as np
 from .data import Dataset, FusionMode, fuse_inputs, iter_batches
 from .graph import GeneratorSpec, generate
 from .network import CyclicNet, build_network, predict, train_iteration
-from .numerics import AdamState, adam_step, make_rng, relu, softmax_stable
+from .numerics import AdamState, adam_step, make_rng, relu, softmax_xent
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,9 @@ class BPChainMLP:
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
-        batch = len(labels)
         acts, logits = self._forward(x)
-        y_hat = softmax_stable(logits)
-        picked = np.clip(y_hat[np.arange(batch), labels], 1e-12, None)
-        loss = float(-np.mean(np.log(picked)))
-
-        delta = y_hat.copy()
-        delta[np.arange(batch), labels] -= 1.0
-        delta /= batch
+        _, loss, delta = softmax_xent(logits, labels)
+        delta /= len(labels)
         w_grads = [None] * len(self.weights)
         b_grads = [None] * len(self.biases)
         for l in reversed(range(len(self.weights))):

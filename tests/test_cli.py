@@ -140,6 +140,25 @@ class TestTrainCommand:
                         "--set", f"out_dir={tmp_path / 'out'}"]) == 2
         assert calls == []
 
+    def test_truncated_embeddings_exit_2(self, tmp_path, capsys):
+        emb = tmp_path / "emb.cnne"
+        assert run_cli(["export-embeddings-template", "--out", str(emb)]) == 0
+        emb.write_bytes(emb.read_bytes()[:-1])
+        rc = run_cli(["train", "--set", "dataset=embeddings",
+                      "--set", f"embeddings_train={emb}",
+                      "--set", f"embeddings_test={emb}",
+                      "--set", f"out_dir={tmp_path / 'out'}"])
+        assert rc == 2
+        assert "embeddings: truncated" in capsys.readouterr().err
+
+    def test_value_error_while_training_exit_1(self, cfg_path, tmp_path,
+                                               monkeypatch):
+        def diverge(*a, **kw):
+            raise ValueError("adam_step: non-finite gradient")
+        monkeypatch.setattr(cli, "run_config", diverge)
+        assert run_cli(["train", "--config", cfg_path,
+                        "--set", f"out_dir={tmp_path / 'out'}"]) == 1
+
     def test_bad_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense = 1\n")
@@ -172,6 +191,17 @@ class TestEvalCommand:
         assert rc == 0
         eval_out = capsys.readouterr().out
         assert eval_out.strip() == train_out.strip()
+
+    def test_truncated_checkpoint_exit_2(self, cfg_path, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        run_cli(["train", "--config", cfg_path, "--set", f"out_dir={out_dir}"])
+        ckpt = out_dir / [f for f in os.listdir(out_dir)
+                          if f.endswith(".ckpt")][0]
+        ckpt.write_bytes(ckpt.read_bytes()[:-3])
+        rc = run_cli(["eval", "--config", cfg_path,
+                      "--checkpoint", str(ckpt)])
+        assert rc == 2
+        assert "checkpoint: truncated" in capsys.readouterr().err
 
 
 @pytest.fixture

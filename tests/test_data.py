@@ -161,6 +161,16 @@ class TestEmbeddingFormat:
         with pytest.raises(ValueError, match="truncated"):
             load_embeddings(p)
 
+    def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
+        d = Dataset(np.ones((3, 2)), np.array([0, 1, 0]), 2)
+        p = tmp_path / "emb.bin"
+        save_embeddings(d, p)
+        good = p.read_bytes()
+        for bad in [good[:n] for n in range(len(good))] + [good + b"\0"]:
+            p.write_bytes(bad)
+            with pytest.raises(ValueError, match="embeddings"):
+                load_embeddings(p)
+
 
 class TestSynthBlobs:
     def test_separable_least_squares_oracle(self):

@@ -210,6 +210,27 @@ class TestTrainIteration:
         train_iteration(net_d, fb_zero_posneg, freeze_neurons=True)
         np.testing.assert_array_equal(net_c.readout_W, net_d.readout_W)
 
+    def test_copy_is_independent(self):
+        net = small_net()
+        fb = fused_batch(net)
+        train_iteration(net, fb)
+        copy = net.copy()
+
+        def arrays(n):
+            out = [p.W for p in n.neurons]
+            for s in n.neuron_adam + [n.readout_adam]:
+                out += [s.m, s.v]
+            return out + [n.readout_W]
+
+        before = [a.copy() for a in arrays(copy)]
+        steps = [s.t for s in copy.neuron_adam + [copy.readout_adam]]
+        train_iteration(net, fb)
+        for a, b in zip(arrays(copy), before):
+            np.testing.assert_array_equal(a, b)
+        assert steps == [s.t for s in copy.neuron_adam + [copy.readout_adam]]
+        for a, b in zip(arrays(copy), arrays(net)):
+            assert not np.shares_memory(a, b)
+
     def test_wrong_fused_dim(self):
         net = small_net()
         fb = fused_batch(net)
@@ -305,3 +326,13 @@ class TestCheckpoint:
         p.write_bytes(b"XXXX" + b"\0" * 40)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(p)
+
+    def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(small_net("cycle", 2, base_dim=4, d_out=2,
+                                  n_classes=2), path)
+        good = path.read_bytes()
+        for bad in [good[:n] for n in range(len(good))] + [good + b"\0"]:
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="checkpoint"):
+                load_checkpoint(path)

@@ -1,18 +1,18 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from conftest import central_diff, rel_err
 from cyclicff.neuron import (NeuronParams, ff_loss_and_grad,
                              ff_loss_grad_outputs, goodness, init_neuron,
-                             neuron_forward, neuron_step)
-from cyclicff.numerics import (AdamState, l2_normalize_rows, make_rng, relu,
-                               sigmoid)
+                             neuron_forward)
+from cyclicff.numerics import (AdamState, adam_step, l2_normalize_rows,
+                               make_rng, relu, sigmoid)
 
 
-def make_neuron(W, theta=0.0, lr=1e-3):
-    W = np.asarray(W, dtype=np.float64)
-    return NeuronParams(W=W, adam=AdamState.for_param(W, lr=lr), theta=theta,
-                        d_in=W.shape[1], d_out=W.shape[0])
+def make_neuron(W, theta=0.0):
+    return NeuronParams(np.asarray(W, dtype=np.float64), theta)
 
 
 class TestForward:
@@ -35,6 +35,12 @@ class TestForward:
         p = make_neuron(np.eye(2))
         with pytest.raises(ValueError):
             neuron_forward(p, np.zeros((1, 3)))
+
+    def test_widths_follow_W(self):
+        p = make_neuron(np.eye(2))
+        p.W = np.zeros((3, 5))
+        assert (p.d_in, p.d_out) == (5, 3)
+        assert [f.name for f in fields(NeuronParams)] == ["W", "theta"]
 
 
 class TestNormaliseAfterMatmul:
@@ -183,47 +189,56 @@ class TestFFLoss:
         np.testing.assert_array_equal(before[1], after[1])
 
 
+def adam_for(p, lr=1e-3):
+    return AdamState.for_param(p.W, lr=lr)
+
+
 class TestNeuronStep:
+    """The neuron's W under the Adam step the network applies to it."""
+
     def test_zero_grad_no_op(self):
         p = make_neuron(np.eye(3))
         W0 = p.W.copy()
-        neuron_step(p, np.zeros((3, 3)))
+        p.W, _ = adam_step(p.W, np.zeros((3, 3)), adam_for(p))
         np.testing.assert_array_equal(p.W, W0)
 
     def test_descent_on_fixed_batch(self):
         rng = make_rng(2, 0)
-        p = init_neuron(6, 4, 1.0, rng, lr=1e-3)
+        p = init_neuron(6, 4, 1.0, rng)
+        adam = adam_for(p, lr=1e-3)
         pos = rng.standard_normal((8, 6)) + 2.0
         neg = rng.standard_normal((8, 6))
         losses = []
         for _ in range(10):
             loss, grad = ff_loss_and_grad(p, pos, neg)
             losses.append(loss)
-            neuron_step(p, grad)
+            p.W, _ = adam_step(p.W, grad, adam)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_separable_batch_converges(self):
         # Pos/neg differ in their label block: loss below 0.1 in 500 steps.
         rng = make_rng(3, 0)
-        p = init_neuron(10, 16, 1.0, rng, lr=1e-2)
+        p = init_neuron(10, 16, 1.0, rng)
+        adam = adam_for(p, lr=1e-2)
         feats = rng.standard_normal((32, 8))
         pos = np.hstack([feats, np.tile([1.0, 0.0], (32, 1))])
         neg = np.hstack([feats, np.tile([0.0, 1.0], (32, 1))])
         loss = np.inf
         for _ in range(500):
             loss, grad = ff_loss_and_grad(p, pos, neg)
-            neuron_step(p, grad)
+            p.W, _ = adam_step(p.W, grad, adam)
         assert loss < 0.1
 
     def test_determinism(self):
         def run():
             rng = make_rng(4, 0)
             p = init_neuron(5, 3, 1.0, rng)
+            adam = adam_for(p)
             pos = rng.standard_normal((4, 5))
             neg = rng.standard_normal((4, 5))
             for _ in range(3):
                 _, grad = ff_loss_and_grad(p, pos, neg)
-                neuron_step(p, grad)
+                p.W, _ = adam_step(p.W, grad, adam)
             return p.W
 
         np.testing.assert_array_equal(run(), run())
