@@ -275,6 +275,12 @@ def cmd_eval(args) -> int:
     cfg = effective_config(args.config, args.set)
     net = _load_file(load_checkpoint, args.checkpoint)
     _, _, test = load_datasets(cfg)
+    for what, data_value, net_value in (
+            ("dim", test.dim, net.raw_dim),
+            ("n_classes", test.n_classes, net.n_classes)):
+        if data_value != net_value:
+            raise ConfigError(f"eval: test set has {what} {data_value}, "
+                              f"the checkpoint expects {net_value}")
     print(f"test_error_pct={evaluate(net, test)}")
     return 0
 

@@ -126,18 +126,28 @@ def _open_maybe_gzip(path):
 
 
 def read_exact(f, n: int, what: str) -> bytes:
-    """The next n bytes of a `what` file; ValueError if it ends first."""
-    raw = f.read(n)
-    if len(raw) != n:
-        raise ValueError(f"{what}: truncated, {len(raw)} of {n} bytes read")
-    return raw
+    """The next n bytes of a `what` file; ValueError if it ends first.
+
+    No piece asked of `f.read` is larger than what the file has already
+    given (or 1 MiB), so a header that claims more bytes than the file
+    holds fails on the bytes that exist, also for a gzip stream whose
+    length is not known up front.
+    """
+    parts, got = [], 0
+    while got < n:
+        part = f.read(min(n - got, max(got, 1 << 20)))
+        if not part:
+            raise ValueError(f"{what}: truncated, {got} of {n} bytes read")
+        parts.append(part)
+        got += len(part)
+    return b"".join(parts)
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Load the big-endian IDX image/label pair; pixels scaled to [0, 1]."""
     with _open_maybe_gzip(images_path) as f:
         magic, count, rows, cols = struct.unpack(
-            ">iiii", read_exact(f, 16, "IDX images"))
+            ">IIII", read_exact(f, 16, "IDX images"))
         if magic != MNIST_IMAGE_MAGIC:
             raise ValueError(f"IDX images: bad magic {magic}")
         raw = read_exact(f, count * rows * cols, "IDX images")
@@ -145,7 +155,7 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
 
     with _open_maybe_gzip(labels_path) as f:
         magic, label_count = struct.unpack(
-            ">ii", read_exact(f, 8, "IDX labels"))
+            ">II", read_exact(f, 8, "IDX labels"))
         if magic != MNIST_LABEL_MAGIC:
             raise ValueError(f"IDX labels: bad magic {magic}")
         raw = read_exact(f, label_count, "IDX labels")

@@ -169,15 +169,3 @@ def to_edge_list(t: Topology) -> str:
     lines = [f"n {t.n_neurons}"]
     lines += [f"{src} {dst}" for src, dst in t.synapses]
     return "\n".join(lines) + "\n"
-
-
-def from_edge_list(text: str) -> Topology:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
-        raise ValueError("edge list: first line must be 'n <count>'")
-    n = int(lines[0].split()[1])
-    edges = []
-    for ln in lines[1:]:
-        src, dst = ln.split()
-        edges.append((int(src), int(dst)))
-    return Topology(n_neurons=n, synapses=tuple(edges))

@@ -65,15 +65,6 @@ class CyclicNet:
             return self.base_dim
         return self.base_dim - self.n_classes
 
-    def copy(self) -> "CyclicNet":
-        return CyclicNet(topology=self.topology,
-                         neurons=[n.copy() for n in self.neurons],
-                         neuron_adam=[s.copy() for s in self.neuron_adam],
-                         readout_W=self.readout_W.copy(),
-                         readout_adam=self.readout_adam.copy(),
-                         base_dim=self.base_dim, T=self.T,
-                         n_classes=self.n_classes, fusion=self.fusion)
-
 
 def build_network(t: Topology, base_dim: int, d_out: int, n_classes: int,
                   theta: float, T: int, rng: np.random.Generator,

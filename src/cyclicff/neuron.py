@@ -80,27 +80,23 @@ def ff_loss_grad_outputs(p: NeuronParams, h_in_pos: np.ndarray,
                          h_in_neg: np.ndarray):
     """Loss, gradient w.r.t. W, and both output batches in one pass.
 
-    loss = -mean[log p(pos) + log(1 - p(neg))] with probabilities clamped
-    to [1e-12, 1 - 1e-12] inside the logs.
+    The loss is one logistic classification of the stacked batch, positive
+    rows first, by goodness: -sum(log q) / B, where q is p on positive rows
+    and 1 - p on negative rows, clamped to [1e-12, 1 - 1e-12] inside the log.
     """
     if h_in_pos.shape[0] != h_in_neg.shape[0]:
         raise ValueError("ff_loss: pos/neg batch size mismatch")
     batch = h_in_pos.shape[0]
+    h_in = np.concatenate([h_in_pos, h_in_neg])
+    y = np.arange(2 * batch) < batch
 
-    _, z_pos, h_pos = _forward_parts(p, h_in_pos)
-    _, z_neg, h_neg = _forward_parts(p, h_in_neg)
+    _, _, h = _forward_parts(p, h_in)
+    prob = goodness(h, p.theta)
+    q = np.where(y, prob, 1.0 - prob)
+    loss = -np.sum(np.log(np.clip(q, PROB_CLAMP, 1 - PROB_CLAMP))) / batch
 
-    p_pos = goodness(h_pos, p.theta)
-    p_neg = goodness(h_neg, p.theta)
-    loss = -np.mean(np.log(np.clip(p_pos, PROB_CLAMP, 1 - PROB_CLAMP))
-                    + np.log(np.clip(1.0 - p_neg, PROB_CLAMP, 1 - PROB_CLAMP)))
-
-    # d loss / d logit: -(1-p)/B for positive rows, +p/B for negative rows;
-    # d logit / d h = 2h, then mask through the ReLU.
-    da_pos = -(1.0 - p_pos) / batch
-    da_neg = p_neg / batch
-    dz_pos = (da_pos[:, None] * 2.0 * h_pos) * (z_pos > 0)
-    dz_neg = (da_neg[:, None] * 2.0 * h_neg) * (z_neg > 0)
-    grad = (l2_normalize_rows(dz_pos, h_in_pos).T @ h_in_pos
-            + l2_normalize_rows(dz_neg, h_in_neg).T @ h_in_neg)
-    return float(loss), grad, h_pos, h_neg
+    # d loss / d logit = (p - y) / B; d logit / d h = 2h, and h = relu(z) is
+    # already zero wherever the ReLU blocks the gradient.
+    dz = ((prob - y) / batch)[:, None] * 2.0 * h
+    grad = l2_normalize_rows(dz, h_in).T @ h_in
+    return float(loss), grad, h[:batch], h[batch:]

@@ -117,10 +117,6 @@ class AdamState:
                    v=np.zeros_like(param, dtype=np.float64),
                    lr=lr, weight_decay=weight_decay)
 
-    def copy(self) -> "AdamState":
-        return AdamState(m=self.m.copy(), v=self.v.copy(), t=self.t,
-                         lr=self.lr, weight_decay=self.weight_decay)
-
 
 def adam_step(params: np.ndarray, grad: np.ndarray,
               state: AdamState) -> tuple[np.ndarray, AdamState]:

@@ -3,6 +3,7 @@ baseline."""
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field, replace
 
@@ -97,7 +98,7 @@ def _fit(cfg: TrainConfig, model, train: Dataset, val: Dataset, batch_step):
     shuffle_rng = make_rng(cfg.seed, "data-shuffle")
 
     metrics = Metrics(seed=cfg.seed)
-    best = model.copy()
+    best = copy.deepcopy(model)
     best_err = np.inf
     stale = 0
 
@@ -120,7 +121,7 @@ def _fit(cfg: TrainConfig, model, train: Dataset, val: Dataset, batch_step):
 
         if val_err < best_err:
             best_err = val_err
-            best = model.copy()
+            best = copy.deepcopy(model)
             stale = 0
         else:
             stale += 1
@@ -205,10 +206,6 @@ class BPChainMLP:
     def predict(self, features: np.ndarray) -> np.ndarray:
         _, logits = self._forward(np.asarray(features, dtype=np.float64))
         return np.argmax(logits, axis=1)
-
-    def copy(self) -> "BPChainMLP":
-        import copy
-        return copy.deepcopy(self)
 
 
 def bp_chain_baseline(cfg: TrainConfig, train: Dataset,

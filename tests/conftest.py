@@ -58,6 +58,16 @@ def write_idx_labels(path, labels: np.ndarray, gz=False):
         f.write(payload)
 
 
+# Headers whose sizes claim far more data than follows them: a CNNE file
+# with n_samples = dim = 2**32 - 1, and a CNN1 checkpoint whose only neuron
+# has d_in = d_out = 2**32 - 1.
+OVERSIZED_EMBEDDINGS = b"CNNE" + struct.pack("<IIII", 1, 2**32 - 1,
+                                             2**32 - 1, 2)
+OVERSIZED_CHECKPOINT = (b"CNN1" + struct.pack("<IIIII", 1, 1, 8, 2, 0)
+                        + struct.pack("<II", 1, 0)
+                        + struct.pack("<IId", 2**32 - 1, 2**32 - 1, 1.0))
+
+
 def central_diff(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Dense central finite differences of a scalar function of an array."""
     g = np.zeros_like(x, dtype=np.float64)

@@ -71,3 +71,13 @@ def test_training_spans_record_calls(bench):
                       ("network.predict", "rows"),
                       ("training.evaluate", "rows")):
         assert tracer.stats[name].counts[key] > 0, name
+    # One norm pass per neuron forward; the FF loss stacks its positive and
+    # negative rows, so it makes one for the forward and one for the
+    # gradient.
+    calls = {name: tracer.stats[name].calls
+             for name in ("numerics.l2_normalize_rows",
+                          "neuron.neuron_forward",
+                          "neuron.ff_loss_grad_outputs")}
+    assert calls["numerics.l2_normalize_rows"] == (
+        calls["neuron.neuron_forward"]
+        + 2 * calls["neuron.ff_loss_grad_outputs"]), calls

@@ -5,7 +5,8 @@ import subprocess
 import numpy as np
 import pytest
 
-from conftest import write_idx_images, write_idx_labels
+from conftest import (OVERSIZED_CHECKPOINT, OVERSIZED_EMBEDDINGS,
+                      write_idx_images, write_idx_labels)
 from cyclicff import cli
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
                           effective_config, main, parse_config_file,
@@ -151,6 +152,16 @@ class TestTrainCommand:
         assert rc == 2
         assert "embeddings: truncated" in capsys.readouterr().err
 
+    def test_oversized_embeddings_header_exit_2(self, tmp_path, capsys):
+        emb = tmp_path / "emb.cnne"
+        emb.write_bytes(OVERSIZED_EMBEDDINGS)
+        rc = run_cli(["train", "--set", "dataset=embeddings",
+                      "--set", f"embeddings_train={emb}",
+                      "--set", f"embeddings_test={emb}",
+                      "--set", f"out_dir={tmp_path / 'out'}"])
+        assert rc == 2
+        assert "embeddings: truncated" in capsys.readouterr().err
+
     def test_value_error_while_training_exit_1(self, cfg_path, tmp_path,
                                                monkeypatch):
         def diverge(*a, **kw):
@@ -202,6 +213,30 @@ class TestEvalCommand:
                       "--checkpoint", str(ckpt)])
         assert rc == 2
         assert "checkpoint: truncated" in capsys.readouterr().err
+
+    def test_oversized_checkpoint_header_exit_2(self, cfg_path, tmp_path,
+                                                capsys):
+        ckpt = tmp_path / "net.ckpt"
+        ckpt.write_bytes(OVERSIZED_CHECKPOINT)
+        rc = run_cli(["eval", "--config", cfg_path,
+                      "--checkpoint", str(ckpt)])
+        assert rc == 2
+        assert "checkpoint: truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,message", [
+        ("synth_dim=9", "dim 9, the checkpoint expects 8"),
+        ("synth_classes=3", "n_classes 3, the checkpoint expects 2"),
+    ], ids=["dim", "n_classes"])
+    def test_data_mismatch_exit_2(self, cfg_path, tmp_path, capsys,
+                                  override, message):
+        out_dir = tmp_path / "out"
+        run_cli(["train", "--config", cfg_path, "--set", f"out_dir={out_dir}"])
+        ckpt = [f for f in os.listdir(out_dir) if f.endswith(".ckpt")][0]
+        capsys.readouterr()
+        rc = run_cli(["eval", "--config", cfg_path, "--set", override,
+                      "--checkpoint", str(out_dir / ckpt)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import write_idx_images, write_idx_labels
+from conftest import (OVERSIZED_EMBEDDINGS, write_idx_images,
+                      write_idx_labels)
 from cyclicff.data import (Dataset, FusionMode, fuse_inputs, iter_batches,
                            load_embeddings, load_mnist_idx, neutral_fusion,
                            save_embeddings, split, synth_blobs)
@@ -119,6 +120,17 @@ class TestMnistIdx:
         with pytest.raises(ValueError, match="truncated"):
             load_mnist_idx(ip, lp)
 
+    def test_gzip_header_beyond_stream(self, tmp_path):
+        # A gzip stream's length is not known before it is read; the sizes
+        # in the header are unsigned.
+        ip, lp = tmp_path / "img.gz", tmp_path / "lab.gz"
+        with gzip.open(ip, "wb") as f:
+            f.write(struct.pack(">IIII", 2051, 2**32 - 1, 28, 28) + b"\0" * 9)
+        write_idx_labels(lp, np.zeros(2, dtype=np.uint8), gz=True)
+        with pytest.raises(ValueError,
+                           match="IDX images: truncated, 9 of 3367254359280"):
+            load_mnist_idx(ip, lp)
+
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "img", tmp_path / "lab"
         write_idx_images(ip, np.zeros((3, 28, 28), dtype=np.uint8))
@@ -170,6 +182,12 @@ class TestEmbeddingFormat:
             p.write_bytes(bad)
             with pytest.raises(ValueError, match="embeddings"):
                 load_embeddings(p)
+
+    def test_header_beyond_file(self, tmp_path):
+        p = tmp_path / "emb.bin"
+        p.write_bytes(OVERSIZED_EMBEDDINGS)
+        with pytest.raises(ValueError, match="embeddings: truncated, 0 of"):
+            load_embeddings(p)
 
 
 class TestSynthBlobs:

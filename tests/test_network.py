@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, rel_err
+from conftest import OVERSIZED_CHECKPOINT, central_diff, rel_err
 from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate
 import cyclicff.network as network_module
@@ -214,7 +216,7 @@ class TestTrainIteration:
         net = small_net()
         fb = fused_batch(net)
         train_iteration(net, fb)
-        copy = net.copy()
+        snap = copy.deepcopy(net)
 
         def arrays(n):
             out = [p.W for p in n.neurons]
@@ -222,13 +224,13 @@ class TestTrainIteration:
                 out += [s.m, s.v]
             return out + [n.readout_W]
 
-        before = [a.copy() for a in arrays(copy)]
-        steps = [s.t for s in copy.neuron_adam + [copy.readout_adam]]
+        before = [a.copy() for a in arrays(snap)]
+        steps = [s.t for s in snap.neuron_adam + [snap.readout_adam]]
         train_iteration(net, fb)
-        for a, b in zip(arrays(copy), before):
+        for a, b in zip(arrays(snap), before):
             np.testing.assert_array_equal(a, b)
-        assert steps == [s.t for s in copy.neuron_adam + [copy.readout_adam]]
-        for a, b in zip(arrays(copy), arrays(net)):
+        assert steps == [s.t for s in snap.neuron_adam + [snap.readout_adam]]
+        for a, b in zip(arrays(snap), arrays(net)):
             assert not np.shares_memory(a, b)
 
     def test_wrong_fused_dim(self):
@@ -336,3 +338,9 @@ class TestCheckpoint:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match="checkpoint"):
                 load_checkpoint(path)
+
+    def test_header_beyond_file(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(OVERSIZED_CHECKPOINT)
+        with pytest.raises(ValueError, match="checkpoint: truncated, 0 of"):
+            load_checkpoint(path)

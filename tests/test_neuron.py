@@ -55,7 +55,9 @@ class TestNormaliseAfterMatmul:
 
     @staticmethod
     def reference(p, pos, neg):
-        outs, grad = [], 0.0
+        """Outputs, gradient and the two-term loss
+        -mean(log clip p(pos) + log clip (1 - p(neg))), stream by stream."""
+        outs, grad, log_q = [], 0.0, 0.0
         for h, positive in ((pos, True), (neg, False)):
             h_tilde = l2_normalize_rows(h)
             z = h_tilde @ p.W.T
@@ -65,7 +67,9 @@ class TestNormaliseAfterMatmul:
             dz = (da[:, None] / len(h) * 2.0 * out) * (z > 0)
             grad = grad + dz.T @ h_tilde
             outs.append(out)
-        return outs, grad
+            q = prob if positive else 1.0 - prob
+            log_q = log_q + np.log(np.clip(q, 1e-12, 1 - 1e-12))
+        return outs, grad, -np.mean(log_q)
 
     @staticmethod
     def assert_close(actual, ref):
@@ -73,9 +77,10 @@ class TestNormaliseAfterMatmul:
                                    atol=1e-12 * np.abs(ref).max())
 
     def check(self, p, pos, neg):
-        (ref_pos, ref_neg), ref_grad = self.reference(p, pos, neg)
+        (ref_pos, ref_neg), ref_grad, ref_loss = self.reference(p, pos, neg)
         self.assert_close(neuron_forward(p, pos), ref_pos)
-        _, grad, h_pos, h_neg = ff_loss_grad_outputs(p, pos, neg)
+        loss, grad, h_pos, h_neg = ff_loss_grad_outputs(p, pos, neg)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         self.assert_close(h_pos, ref_pos)
         self.assert_close(h_neg, ref_neg)
         self.assert_close(grad, ref_grad)

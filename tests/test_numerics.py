@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,7 +196,7 @@ class TestAdam:
         state = AdamState.for_param(p)
         p, state = adam_step(p, rng.standard_normal(p.shape), state)
         m, v = state.m, state.v
-        snap = state.copy()
+        snap = copy.deepcopy(state)
         saved = snap.m.copy(), snap.v.copy()
         adam_step(p, rng.standard_normal(p.shape), state)
         assert state.m is m and state.v is v
