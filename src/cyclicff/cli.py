@@ -17,6 +17,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -228,6 +229,19 @@ def _git_describe() -> str:
         return ""
 
 
+def _write_atomic(path: str, write) -> None:
+    """`write(tmp)` a temporary file beside `path`, then rename it over
+    `path`: a write that fails leaves the previous file as it was."""
+    tmp = path + ".tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_manifest(path: str, cfg: dict[str, str], seeds: list[int],
                    artifacts: dict[str, str], started: float) -> None:
     manifest = {
@@ -238,10 +252,8 @@ def write_manifest(path: str, cfg: dict[str, str], seeds: list[int],
         "started": started,
         "ended": time.time(),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-    os.replace(tmp, path)
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    _write_atomic(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def cmd_train(args) -> int:
@@ -258,12 +270,12 @@ def cmd_train(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     stem = f"run-{config_hash(cfg)}-{tc.seed}"
     csv_path = os.path.join(out_dir, stem + ".csv")
-    with open(csv_path, "w") as f:
-        f.write(metrics.to_csv())
+    csv = metrics.to_csv()
+    _write_atomic(csv_path, lambda tmp: Path(tmp).write_text(csv))
     artifacts = {"metrics_csv": csv_path}
     if tc.baseline == "none":
         ckpt_path = os.path.join(out_dir, stem + ".ckpt")
-        save_checkpoint(model, ckpt_path)
+        _write_atomic(ckpt_path, lambda tmp: save_checkpoint(model, tmp))
         artifacts["checkpoint"] = ckpt_path
     write_manifest(os.path.join(out_dir, stem + ".manifest.json"),
                    cfg, [tc.seed], artifacts, started)

@@ -19,7 +19,8 @@ from .data import FusionMode, FusedBatch, neutral_fusion, read_exact
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
                      ff_loss_grad_outputs)
-from .numerics import AdamState, adam_step, softmax_xent
+from .numerics import (AdamState, adam_step, l2_normalize_rows, relu,
+                       softmax_xent)
 
 CHECKPOINT_MAGIC = b"CNN1"
 CHECKPOINT_VERSION = 1
@@ -104,9 +105,23 @@ def _neuron_input(fused_stream: np.ndarray, outputs: list[np.ndarray],
 
 
 def forward_round(net: CyclicNet, fused_stream: np.ndarray,
-                  outputs: list[np.ndarray]) -> list[np.ndarray]:
+                  outputs: list[np.ndarray] | None) -> list[np.ndarray]:
     """One synchronous forward-only round of one stream: every neuron reads
-    the fused input and its predecessors' outputs from the previous round."""
+    the fused input and its predecessors' outputs from the previous round.
+
+    `outputs=None` is the zero state. Every predecessor column is then
+    zero, so each neuron's product is its fused-input block of W times the
+    fused stream, and the input's row norm is the fused stream's: the zero
+    columns are neither built nor multiplied.
+    """
+    if outputs is None:
+        if fused_stream.shape[1] != net.base_dim:
+            raise ValueError(
+                f"forward_round: fused stream has {fused_stream.shape[1]} "
+                f"cols, base_dim is {net.base_dim}")
+        return [relu(l2_normalize_rows(fused_stream @ p.W[:, :net.base_dim].T,
+                                       fused_stream))
+                for p in net.neurons]
     return [neuron_forward(p, _neuron_input(fused_stream, outputs, preds))
             for p, preds in zip(net.neurons, net.preds)]
 
@@ -152,15 +167,18 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
             f"base_dim {net.base_dim}")
     n = net.topology.n_neurons
     batch = fused.h_pos.shape[0]
-    state = zero_state(net, batch)
+    # The pos/neg streams start from explicit zeros: their gradient needs
+    # the full-width input. The neutral stream starts from the zero state.
+    pos = neg = [np.zeros((batch, p.d_out)) for p in net.neurons]
+    neu = None
     loss_sums = np.zeros(n)
 
     for _ in range(net.T):
-        new_neu = forward_round(net, fused.h_neu, state.neu)
+        neu = forward_round(net, fused.h_neu, neu)
         new_pos, new_neg, grads = [], [], []
         for j in range(n):
-            h_in_pos = _neuron_input(fused.h_pos, state.pos, net.preds[j])
-            h_in_neg = _neuron_input(fused.h_neg, state.neg, net.preds[j])
+            h_in_pos = _neuron_input(fused.h_pos, pos, net.preds[j])
+            h_in_neg = _neuron_input(fused.h_neg, neg, net.preds[j])
             loss, grad, h_pos, h_neg = ff_loss_grad_outputs(
                 net.neurons[j], h_in_pos, h_in_neg)
             new_pos.append(h_pos)
@@ -171,10 +189,10 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
         if not freeze_neurons:
             for p, g, s in zip(net.neurons, grads, net.neuron_adam):
                 p.W, _ = adam_step(p.W, g, s)
-        state = PropagationState(pos=new_pos, neg=new_neg, neu=new_neu)
+        pos, neg = new_pos, new_neg
 
     _, readout_loss, readout_grad = readout_forward_loss_grad(
-        net, state.neu, fused.true_labels)
+        net, neu, fused.true_labels)
     if not freeze_readout:
         net.readout_W, net.readout_adam = adam_step(
             net.readout_W, readout_grad, net.readout_adam)
@@ -217,7 +235,7 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
     for start, stop in _row_blocks(len(features), _block_rows(net)):
         h_neu = neutral_fusion(features[start:stop], net.n_classes,
                                net.fusion)
-        outputs = [np.zeros((stop - start, p.d_out)) for p in net.neurons]
+        outputs = None
         for _ in range(net.T):
             outputs = forward_round(net, h_neu, outputs)
         logits = np.concatenate(outputs, axis=1) @ net.readout_W.T
@@ -245,8 +263,9 @@ def save_checkpoint(net: CyclicNet, path) -> None:
 
 
 def load_checkpoint(path) -> CyclicNet:
-    """Read a `save_checkpoint` file; a short or overlong file is a
-    ValueError. The Adam states start fresh: moments are not saved."""
+    """Read a `save_checkpoint` file; a short or overlong file, or weight
+    shapes that disagree with the stored topology, is a ValueError. The
+    Adam states start fresh: moments are not saved."""
     def unpack(fmt):
         return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt),
                                               "checkpoint"))
@@ -272,10 +291,22 @@ def load_checkpoint(path) -> CyclicNet:
         if f.read(1):
             raise ValueError("checkpoint: trailing bytes after the readout")
     fusion = FusionMode("overlay" if fusion_flag else "concat")
-    return CyclicNet(topology=Topology(n_neurons=n, synapses=tuple(edges)),
-                     neurons=neurons,
-                     neuron_adam=[AdamState.for_param(p.W) for p in neurons],
-                     readout_W=readout_W,
-                     readout_adam=AdamState.for_param(readout_W),
-                     base_dim=base_dim, T=T, n_classes=n_classes,
-                     fusion=fusion)
+    net = CyclicNet(topology=Topology(n_neurons=n, synapses=tuple(edges)),
+                    neurons=neurons,
+                    neuron_adam=[AdamState.for_param(p.W) for p in neurons],
+                    readout_W=readout_W,
+                    readout_adam=AdamState.for_param(readout_W),
+                    base_dim=base_dim, T=T, n_classes=n_classes,
+                    fusion=fusion)
+    for j, (p, preds) in enumerate(zip(neurons, net.preds)):
+        d_in = base_dim + sum(neurons[i].d_out for i in preds)
+        if p.d_in != d_in:
+            raise ValueError(
+                f"checkpoint: neuron {j} has d_in {p.d_in}, its inputs "
+                f"(base_dim {base_dim}, predecessors {preds}) give {d_in}")
+    shape = (n_classes, sum(p.d_out for p in neurons))
+    if readout_W.shape != shape:
+        raise ValueError(
+            f"checkpoint: readout is {readout_W.shape[0]}x"
+            f"{readout_W.shape[1]}, expected {shape[0]}x{shape[1]}")
+    return net

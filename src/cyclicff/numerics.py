@@ -50,7 +50,10 @@ def l2_normalize_rows(m: np.ndarray,
     if by.shape[0] != m.shape[0]:
         raise ValueError(
             f"l2_normalize_rows: {m.shape[0]} rows scaled by {by.shape[0]}")
-    sq = np.einsum("ij,ij->i", by, by)
+    # vecdot warns when a huge finite row's sum overflows to inf; such a
+    # row scales to zero, like any row whose norm is inf.
+    with np.errstate(over="ignore"):
+        sq = np.vecdot(by, by)
     # A non-finite entry always makes its row sum non-finite; a huge finite
     # one can overflow it too, so only then are the entries scanned.
     if not np.isfinite(sq).all() and not np.isfinite(by).all():

@@ -11,6 +11,7 @@ from cyclicff import cli
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
                           effective_config, main, parse_config_file,
                           to_train_config)
+from cyclicff.network import load_checkpoint, save_checkpoint
 
 
 SYNTH_CFG = """
@@ -175,6 +176,25 @@ class TestTrainCommand:
         p.write_text("nonsense = 1\n")
         assert run_cli(["train", "--config", str(p)]) == 2
 
+    def test_failed_checkpoint_save_keeps_previous(self, cfg_path, tmp_path,
+                                                   monkeypatch):
+        out_dir = tmp_path / "out"
+        args = ["train", "--config", cfg_path, "--seed", "2",
+                "--set", f"out_dir={out_dir}"]
+        assert run_cli(args) == 0
+        ckpt = out_dir / [f for f in os.listdir(out_dir)
+                          if f.endswith(".ckpt")][0]
+        before = ckpt.read_bytes()
+
+        def broken_save(net, path):
+            with open(path, "wb") as f:
+                f.write(b"CNN1")
+            raise OSError("disk full")
+        monkeypatch.setattr(cli, "save_checkpoint", broken_save)
+        assert run_cli(args) == 1
+        assert ckpt.read_bytes() == before
+        assert not [f for f in os.listdir(out_dir) if f.endswith(".tmp")]
+
     def test_deterministic_metrics_csv(self, cfg_path, tmp_path):
         csvs = []
         for sub in ("a", "b"):
@@ -222,6 +242,28 @@ class TestEvalCommand:
                       "--checkpoint", str(ckpt)])
         assert rc == 2
         assert "checkpoint: truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part,message", [
+        ("neuron", "checkpoint: neuron 0 has d_in 7"),
+        ("readout", "checkpoint: readout is 2x23, expected 2x24"),
+    ], ids=["neuron", "readout"])
+    def test_shape_disagrees_with_topology_exit_2(self, cfg_path, tmp_path,
+                                                  capsys, part, message):
+        out_dir = tmp_path / "out"
+        run_cli(["train", "--config", cfg_path, "--set", f"out_dir={out_dir}"])
+        ckpt = out_dir / [f for f in os.listdir(out_dir)
+                          if f.endswith(".ckpt")][0]
+        net = load_checkpoint(ckpt)
+        if part == "neuron":
+            net.neurons[0].W = net.neurons[0].W[:, :7]
+        else:
+            net.readout_W = net.readout_W[:, :-1]
+        save_checkpoint(net, ckpt)
+        capsys.readouterr()
+        rc = run_cli(["eval", "--config", cfg_path,
+                      "--checkpoint", str(ckpt)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("override,message", [
         ("synth_dim=9", "dim 9, the checkpoint expects 8"),

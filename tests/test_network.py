@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate
 import cyclicff.network as network_module
 from cyclicff.network import (CyclicNet, _block_rows, _neuron_input,
-                              build_network, load_checkpoint, predict,
-                              propagate_step, readout_forward_loss_grad,
-                              save_checkpoint, train_iteration, zero_state)
+                              build_network, forward_round, load_checkpoint,
+                              predict, propagate_step,
+                              readout_forward_loss_grad, save_checkpoint,
+                              train_iteration, zero_state)
 from cyclicff.neuron import neuron_forward
 from cyclicff.numerics import make_rng
 
@@ -114,6 +116,36 @@ class TestPropagateStep:
             reversed_outputs[j] = neuron_forward(net.neurons[j], h_in)
         for j in range(4):
             np.testing.assert_array_equal(stepped.pos[j], reversed_outputs[j])
+
+
+class TestZeroStateRound:
+    # The benchmark workloads' neuron shapes (d_in x d_out): small-synth
+    # 174x50 (base 24, complete-4), mnist-shaped 1384x200 (base 784,
+    # complete-4), and the narrowest and widest ws16 neurons, 88x32 and
+    # 248x32 (base 24, in-degree 2 and 7).
+    SHAPES = {"174x50": (24, 50, 4), "1384x200": (784, 200, 4),
+              "88x32": (24, 32, 3), "248x32": (24, 32, 8)}
+
+    @pytest.mark.parametrize("fusion", ["concat", "overlay"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_matches_explicit_zeros(self, shape, fusion):
+        base_dim, d_out, n = self.SHAPES[shape]
+        net = small_net("complete", n, base_dim=base_dim, d_out=d_out,
+                        n_classes=4, seed=1, fusion=FusionMode(fusion))
+        assert {p.d_in for p in net.neurons} == {base_dim + (n - 1) * d_out}
+        feats = make_rng(2, 0).standard_normal((70, net.raw_dim))
+        h_neu = neutral_fusion(feats, net.n_classes, net.fusion)
+        zeros = [np.zeros((70, p.d_out)) for p in net.neurons]
+        for got, want in zip(forward_round(net, h_neu, None),
+                             forward_round(net, h_neu, zeros)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_wrong_fused_width(self):
+        net = small_net("complete", 3)
+        h = make_rng(0, 0).standard_normal((4, net.base_dim + 1))
+        with pytest.raises(ValueError, match="13 cols, base_dim is 12"):
+            forward_round(net, h, None)
 
 
 class TestReadout:
@@ -338,6 +370,22 @@ class TestCheckpoint:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match="checkpoint"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("part,message", [
+        ("neuron", "neuron 1 has d_in 7, its inputs (base_dim 12, "
+                   "predecessors [0]) give 17"),
+        ("readout", "readout is 3x14, expected 3x15"),
+    ], ids=["neuron", "readout"])
+    def test_shape_disagrees_with_topology(self, tmp_path, part, message):
+        net = small_net("cycle", 3)
+        if part == "neuron":
+            net.neurons[1].W = net.neurons[1].W[:, :7]
+        else:
+            net.readout_W = net.readout_W[:, :-1]
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
 
     def test_header_beyond_file(self, tmp_path):
         path = tmp_path / "net.ckpt"

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -75,11 +76,13 @@ class TestL2NormalizeBy:
 
     def test_huge_finite_row_is_not_rejected(self):
         # The squared norm overflows to inf, so the row scales to zero
-        # without an error, with or without `by`.
-        np.testing.assert_array_equal(l2_normalize_rows([[1e200, 1e200]]),
-                                      [[0.0, 0.0]])
-        out = l2_normalize_rows([[3.0, 4.0], [3.0, 4.0]],
-                                [[1e200, 1e200], [3.0, 4.0]])
+        # without an error or a warning, with or without `by`.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(
+                l2_normalize_rows([[1e200, 1e200]]), [[0.0, 0.0]])
+            out = l2_normalize_rows([[3.0, 4.0], [3.0, 4.0]],
+                                    [[1e200, 1e200], [3.0, 4.0]])
         np.testing.assert_allclose(out, [[0.0, 0.0], [0.6, 0.8]],
                                    rtol=1e-15)
 
