@@ -365,12 +365,12 @@ def cmd_sweep(args) -> int:
     sweep_id = hashlib.sha256(
         repr((config_hash(base), axes, seeds)).encode()).hexdigest()[:8]
     summary = os.path.join(out_dir, f"sweep-{sweep_id}.csv")
-    with open(summary, "w") as f:
-        f.write(",".join(keys) + ",mean_test_err,std_test_err,n_seeds\n")
-        for i, combo in enumerate(combos):
-            es = errs[i * len(seeds):(i + 1) * len(seeds)]
-            f.write(",".join(combo)
-                    + f",{np.mean(es):.6g},{np.std(es):.6g},{len(seeds)}\n")
+    lines = [",".join(keys) + ",mean_test_err,std_test_err,n_seeds\n"]
+    for i, combo in enumerate(combos):
+        es = errs[i * len(seeds):(i + 1) * len(seeds)]
+        lines.append(",".join(combo)
+                     + f",{np.mean(es):.6g},{np.std(es):.6g},{len(seeds)}\n")
+    _write_atomic(summary, lambda tmp: Path(tmp).write_text("".join(lines)))
     print(summary)
     return 0
 
@@ -391,9 +391,15 @@ def cmd_inspect_graph(args) -> int:
 
 
 def cmd_export_embeddings_template(args) -> int:
-    rng = make_rng(0, 0)
-    d = synth_blobs(args.samples // max(args.classes, 1) or 1, args.dim,
-                    args.classes, 1.0, rng)
+    if args.classes < 1:
+        raise ConfigError("--classes must be >= 1")
+    if args.dim < args.classes:
+        raise ConfigError(f"--dim {args.dim} < --classes {args.classes}")
+    if args.samples < args.classes:
+        raise ConfigError(
+            f"--samples {args.samples} < --classes {args.classes}")
+    d = synth_blobs(args.samples // args.classes, args.dim, args.classes,
+                    1.0, make_rng(0, 0))
     save_embeddings(d, args.out)
     print(f"wrote template embedding file: {args.out} "
           f"({d.n_samples} samples, dim {d.dim}, {d.n_classes} classes)")
@@ -449,10 +455,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

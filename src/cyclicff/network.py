@@ -19,11 +19,13 @@ from .data import FusionMode, FusedBatch, neutral_fusion, read_exact
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
                      ff_loss_grad_outputs)
-from .numerics import (AdamState, adam_step, l2_normalize_rows, relu,
-                       softmax_xent)
+from .numerics import AdamState, adam_step, softmax_xent
 
 CHECKPOINT_MAGIC = b"CNN1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Weight element type by checkpoint version; the layout is otherwise the
+# same. Version 1 stored float32, so its weights round-trip only to float32.
+CHECKPOINT_WEIGHTS = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 # `predict` works through its input in row blocks sized so that one
 # neuron's (rows x d_in) float64 input fits in this many bytes, which keeps
@@ -104,26 +106,32 @@ def _neuron_input(fused_stream: np.ndarray, outputs: list[np.ndarray],
     return np.concatenate([fused_stream] + [outputs[i] for i in preds], axis=1)
 
 
+def _round_input(net: CyclicNet, j: int, fused_stream: np.ndarray,
+                 outputs: list[np.ndarray] | None):
+    """Neuron j's (params, input) for one round of one stream.
+
+    `outputs=None` is the zero state. Every predecessor column of the input
+    is then zero, so it adds nothing to the product or to the row norm: the
+    neuron runs as the fused-input block of W on the fused stream alone, and
+    the zero columns are neither built nor multiplied.
+    """
+    p = net.neurons[j]
+    if outputs is None:
+        return NeuronParams(p.W[:, :net.base_dim], p.theta), fused_stream
+    return p, _neuron_input(fused_stream, outputs, net.preds[j])
+
+
 def forward_round(net: CyclicNet, fused_stream: np.ndarray,
                   outputs: list[np.ndarray] | None) -> list[np.ndarray]:
     """One synchronous forward-only round of one stream: every neuron reads
-    the fused input and its predecessors' outputs from the previous round.
-
-    `outputs=None` is the zero state. Every predecessor column is then
-    zero, so each neuron's product is its fused-input block of W times the
-    fused stream, and the input's row norm is the fused stream's: the zero
-    columns are neither built nor multiplied.
-    """
-    if outputs is None:
-        if fused_stream.shape[1] != net.base_dim:
-            raise ValueError(
-                f"forward_round: fused stream has {fused_stream.shape[1]} "
-                f"cols, base_dim is {net.base_dim}")
-        return [relu(l2_normalize_rows(fused_stream @ p.W[:, :net.base_dim].T,
-                                       fused_stream))
-                for p in net.neurons]
-    return [neuron_forward(p, _neuron_input(fused_stream, outputs, preds))
-            for p, preds in zip(net.neurons, net.preds)]
+    the fused input and its predecessors' outputs from the previous round,
+    or from the zero state when `outputs` is None."""
+    if fused_stream.shape[1] != net.base_dim:
+        raise ValueError(
+            f"forward_round: fused stream has {fused_stream.shape[1]} "
+            f"cols, base_dim is {net.base_dim}")
+    return [neuron_forward(*_round_input(net, j, fused_stream, outputs))
+            for j in range(len(net.neurons))]
 
 
 def propagate_step(net: CyclicNet, state: PropagationState,
@@ -166,21 +174,21 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
             f"train_iteration: fused dim {fused.h_pos.shape[1]} != "
             f"base_dim {net.base_dim}")
     n = net.topology.n_neurons
-    batch = fused.h_pos.shape[0]
-    # The pos/neg streams start from explicit zeros: their gradient needs
-    # the full-width input. The neutral stream starts from the zero state.
-    pos = neg = [np.zeros((batch, p.d_out)) for p in net.neurons]
-    neu = None
+    pos = neg = neu = None
     loss_sums = np.zeros(n)
 
     for _ in range(net.T):
         neu = forward_round(net, fused.h_neu, neu)
         new_pos, new_neg, grads = [], [], []
         for j in range(n):
-            h_in_pos = _neuron_input(fused.h_pos, pos, net.preds[j])
-            h_in_neg = _neuron_input(fused.h_neg, neg, net.preds[j])
+            p, h_in_pos = _round_input(net, j, fused.h_pos, pos)
+            _, h_in_neg = _round_input(net, j, fused.h_neg, neg)
             loss, grad, h_pos, h_neg = ff_loss_grad_outputs(
-                net.neurons[j], h_in_pos, h_in_neg)
+                p, h_in_pos, h_in_neg)
+            # In the zero state the predecessor columns' gradient is zero.
+            pad = net.neurons[j].d_in - p.d_in
+            if pad:
+                grad = np.pad(grad, ((0, 0), (0, pad)))
             new_pos.append(h_pos)
             new_neg.append(h_neg)
             grads.append(grad)
@@ -244,7 +252,8 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(net: CyclicNet, path) -> None:
-    """Little-endian binary checkpoint; weights stored as float32."""
+    """Little-endian binary checkpoint; weights stored as float64."""
+    dtype = CHECKPOINT_WEIGHTS[CHECKPOINT_VERSION]
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         fusion_flag = 1 if net.fusion.mode == "overlay" else 0
@@ -256,31 +265,39 @@ def save_checkpoint(net: CyclicNet, path) -> None:
             f.write(struct.pack("<II", src, dst))
         for p in net.neurons:
             f.write(struct.pack("<IId", p.d_in, p.d_out, p.theta))
-            f.write(p.W.astype("<f4").tobytes())
+            f.write(p.W.astype(dtype).tobytes())
         rows, cols = net.readout_W.shape
         f.write(struct.pack("<II", rows, cols))
-        f.write(net.readout_W.astype("<f4").tobytes())
+        f.write(net.readout_W.astype(dtype).tobytes())
 
 
 def load_checkpoint(path) -> CyclicNet:
-    """Read a `save_checkpoint` file; a short or overlong file, or weight
-    shapes that disagree with the stored topology, is a ValueError. The
-    Adam states start fresh: moments are not saved."""
+    """Read a `save_checkpoint` file of any version in CHECKPOINT_WEIGHTS.
+
+    A short or overlong file, a header field out of range, or weight shapes
+    that disagree with the stored topology, is a ValueError. The Adam states
+    start fresh: moments are not saved."""
     def unpack(fmt):
         return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt),
                                               "checkpoint"))
 
     def matrix(rows, cols):
-        raw = read_exact(f, rows * cols * 4, "checkpoint")
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(
+        raw = read_exact(f, rows * cols * dtype.itemsize, "checkpoint")
+        return np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(
             rows, cols)
 
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ValueError("checkpoint: bad magic")
         version, T, base_dim, n_classes, fusion_flag = unpack("<IIIII")
-        if version != CHECKPOINT_VERSION:
+        if version not in CHECKPOINT_WEIGHTS:
             raise ValueError(f"checkpoint: unsupported version {version}")
+        if T < 1:
+            raise ValueError(f"checkpoint: T is {T}, need T >= 1")
+        if fusion_flag not in (0, 1):
+            raise ValueError(
+                f"checkpoint: fusion flag is {fusion_flag}, need 0 or 1")
+        dtype = CHECKPOINT_WEIGHTS[version]
         n, n_edges = unpack("<II")
         edges = [unpack("<II") for _ in range(n_edges)]
         neurons = []

@@ -73,17 +73,11 @@ def test_training_spans_record_calls(bench):
         assert tracer.stats[name].counts[key] > 0, name
     # One norm pass per neuron forward; the FF loss stacks its positive and
     # negative rows, so it makes one for the forward and one for the
-    # gradient. The neutral stream's first round starts from the zero
-    # state and makes one per neuron without a neuron forward, once per
-    # training batch and once per predict block (every predict here is one
-    # block).
+    # gradient. The zero-state round runs through the same two functions.
     calls = {name: tracer.stats[name].calls
              for name in ("numerics.l2_normalize_rows",
                           "neuron.neuron_forward",
-                          "neuron.ff_loss_grad_outputs",
-                          "network.train_iteration", "network.predict")}
+                          "neuron.ff_loss_grad_outputs")}
     assert calls["numerics.l2_normalize_rows"] == (
         calls["neuron.neuron_forward"]
-        + 2 * calls["neuron.ff_loss_grad_outputs"]
-        + net.topology.n_neurons * (calls["network.train_iteration"]
-                                    + calls["network.predict"])), calls
+        + 2 * calls["neuron.ff_loss_grad_outputs"]), calls

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 
 import numpy as np
@@ -265,6 +266,25 @@ class TestEvalCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("offset,value,message", [
+        (8, 0, "checkpoint: T is 0"),
+        (20, 7, "checkpoint: fusion flag is 7"),
+    ], ids=["T", "fusion"])
+    def test_bad_header_field_exit_2(self, cfg_path, tmp_path, capsys,
+                                     offset, value, message):
+        out_dir = tmp_path / "out"
+        run_cli(["train", "--config", cfg_path, "--set", f"out_dir={out_dir}"])
+        ckpt = out_dir / [f for f in os.listdir(out_dir)
+                          if f.endswith(".ckpt")][0]
+        raw = bytearray(ckpt.read_bytes())
+        raw[offset:offset + 4] = struct.pack("<I", value)
+        ckpt.write_bytes(bytes(raw))
+        capsys.readouterr()
+        rc = run_cli(["eval", "--config", cfg_path,
+                      "--checkpoint", str(ckpt)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("override,message", [
         ("synth_dim=9", "dim 9, the checkpoint expects 8"),
         ("synth_classes=3", "n_classes 3, the checkpoint expects 2"),
@@ -417,6 +437,20 @@ class TestExportTemplate:
         from cyclicff.data import load_embeddings
         d = load_embeddings(out)
         assert d.dim == 16 and d.n_classes == 2
+
+    @pytest.mark.parametrize("args,message", [
+        (["--classes", "0"], "--classes must be >= 1"),
+        (["--dim", "0"], "--dim 0 < --classes 2"),
+        (["--classes", "20", "--dim", "4"], "--dim 4 < --classes 20"),
+        (["--samples", "0"], "--samples 0 < --classes 2"),
+    ], ids=["classes-0", "dim-0", "dim-below-classes", "samples-0"])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, args, message):
+        out = tmp_path / "template.cnne"
+        rc = run_cli(["export-embeddings-template", "--out", str(out)]
+                     + args)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMnistConfig:

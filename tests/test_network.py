@@ -1,5 +1,6 @@
 import copy
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from cyclicff.network import (CyclicNet, _block_rows, _neuron_input,
                               predict, propagate_step,
                               readout_forward_loss_grad, save_checkpoint,
                               train_iteration, zero_state)
-from cyclicff.neuron import neuron_forward
-from cyclicff.numerics import make_rng
+from cyclicff.neuron import ff_loss_grad_outputs, neuron_forward
+from cyclicff.numerics import adam_step, make_rng
 
 
 def small_net(kind="complete", n=4, base_dim=12, d_out=5, n_classes=3,
@@ -32,6 +33,41 @@ def fused_batch(net, batch=6, seed=0):
     labels = rng.integers(0, net.n_classes, size=batch)
     return fuse_inputs(feats, labels, net.n_classes, net.fusion,
                        make_rng(seed, "negative-labels"))
+
+
+def train_iteration_explicit_zeros(net, fused):
+    """Reference `train_iteration`: every stream starts from explicit zero
+    outputs, so every round, the first included, runs each neuron on its
+    full-width input."""
+    batch = len(fused.true_labels)
+    pos = neg = neu = [np.zeros((batch, p.d_out)) for p in net.neurons]
+    loss_sums = np.zeros(len(net.neurons))
+    for _ in range(net.T):
+        neu = forward_round(net, fused.h_neu, neu)
+        new_pos, new_neg, grads = [], [], []
+        for j, p in enumerate(net.neurons):
+            loss, grad, h_pos, h_neg = ff_loss_grad_outputs(
+                p, _neuron_input(fused.h_pos, pos, net.preds[j]),
+                _neuron_input(fused.h_neg, neg, net.preds[j]))
+            new_pos.append(h_pos)
+            new_neg.append(h_neg)
+            grads.append(grad)
+            loss_sums[j] += loss
+        for p, g, s in zip(net.neurons, grads, net.neuron_adam):
+            p.W, _ = adam_step(p.W, g, s)
+        pos, neg = new_pos, new_neg
+    _, readout_loss, readout_grad = readout_forward_loss_grad(
+        net, neu, fused.true_labels)
+    net.readout_W, net.readout_adam = adam_step(
+        net.readout_W, readout_grad, net.readout_adam)
+    return net, loss_sums / net.T, readout_loss
+
+
+def assert_close_to_largest(got, want, rtol=1e-12):
+    """Within rtol of the largest entry of `want`."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 class TestBuildNetwork:
@@ -138,8 +174,26 @@ class TestZeroStateRound:
         zeros = [np.zeros((70, p.d_out)) for p in net.neurons]
         for got, want in zip(forward_round(net, h_neu, None),
                              forward_round(net, h_neu, zeros)):
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert_close_to_largest(got, want)
+
+    @pytest.mark.parametrize("fusion", ["concat", "overlay"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_train_iteration_matches_explicit_zeros(self, shape, fusion):
+        # Round 1 of the pos/neg streams runs on the fused-input block of W
+        # and pads its gradient with the zero predecessor columns.
+        base_dim, d_out, n = self.SHAPES[shape]
+        net = small_net("complete", n, base_dim=base_dim, d_out=d_out,
+                        n_classes=4, seed=1, fusion=FusionMode(fusion))
+        ref = copy.deepcopy(net)
+        fb = fused_batch(net, batch=32, seed=2)
+        _, losses, readout_loss = train_iteration(net, fb)
+        _, ref_losses, ref_readout_loss = train_iteration_explicit_zeros(
+            ref, fb)
+        for p, q in zip(net.neurons, ref.neurons):
+            assert_close_to_largest(p.W, q.W)
+        assert_close_to_largest(net.readout_W, ref.readout_W)
+        assert_close_to_largest(losses, ref_losses)
+        assert_close_to_largest(readout_loss, ref_readout_loss)
 
     def test_wrong_fused_width(self):
         net = small_net("complete", 3)
@@ -345,6 +399,55 @@ class TestCheckpoint:
         first = predict(loaded, feats)
         again = predict(load_checkpoint(path), feats)
         np.testing.assert_array_equal(first, again)
+
+    def test_round_trip_weights_exact(self, tmp_path):
+        net = small_net("ws", 6, seed=4)
+        for _ in range(2):
+            train_iteration(net, fused_batch(net, seed=4))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        assert struct.unpack("<I", path.read_bytes()[4:8]) == (2,)
+        loaded = load_checkpoint(path)
+        for p, q in zip(loaded.neurons, net.neurons):
+            assert np.array_equal(p.W, q.W) and p.theta == q.theta
+        assert np.array_equal(loaded.readout_W, net.readout_W)
+
+    def test_version_1_still_loads(self, tmp_path):
+        # Version 1 is the same layout with float32 weights.
+        net = small_net("cycle", 3, seed=5, fusion=FusionMode("overlay"))
+        net.readout_W = make_rng(5, 7).standard_normal(net.readout_W.shape)
+        t = net.topology
+        parts = [b"CNN1", struct.pack("<IIIII", 1, net.T, net.base_dim,
+                                      net.n_classes, 1),
+                 struct.pack("<II", t.n_neurons, len(t.synapses))]
+        parts += [struct.pack("<II", *edge) for edge in t.synapses]
+        for p in net.neurons:
+            parts += [struct.pack("<IId", p.d_in, p.d_out, p.theta),
+                      p.W.astype("<f4").tobytes()]
+        parts += [struct.pack("<II", *net.readout_W.shape),
+                  net.readout_W.astype("<f4").tobytes()]
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"".join(parts))
+        loaded = load_checkpoint(path)
+        assert loaded.topology == t and loaded.fusion.mode == "overlay"
+        for p, q in zip(loaded.neurons, net.neurons):
+            assert np.array_equal(p.W, q.W.astype(np.float32))
+        assert np.array_equal(loaded.readout_W,
+                              net.readout_W.astype(np.float32))
+
+    @pytest.mark.parametrize("offset,value,message", [
+        (4, 3, "unsupported version 3"),
+        (8, 0, "T is 0, need T >= 1"),
+        (20, 7, "fusion flag is 7, need 0 or 1"),
+    ], ids=["version", "T", "fusion"])
+    def test_bad_header_field(self, tmp_path, offset, value, message):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(small_net("cycle", 2), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
 
     def test_overlay_flag_round_trips(self, tmp_path):
         net = small_net(base_dim=12, n_classes=3,
