@@ -27,4 +27,4 @@ for step in range(501):
         p_pos = goodness(neuron_forward(neuron, pos), neuron.theta).mean()
         p_neg = goodness(neuron_forward(neuron, neg), neuron.theta).mean()
         print(f"{step:4d}  {loss:7.3f}  {p_pos:.3f}  {p_neg:.3f}")
-    neuron.W, _ = adam_step(neuron.W, grad, adam)
+    adam_step(neuron.W, grad, adam)

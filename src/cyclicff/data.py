@@ -143,19 +143,22 @@ def read_exact(f, n: int, what: str) -> bytes:
     return b"".join(parts)
 
 
+def read_struct(f, fmt: str, what: str) -> tuple:
+    """The next `struct` record of format `fmt` from a `what` file."""
+    return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), what))
+
+
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Load the big-endian IDX image/label pair; pixels scaled to [0, 1]."""
     with _open_maybe_gzip(images_path) as f:
-        magic, count, rows, cols = struct.unpack(
-            ">IIII", read_exact(f, 16, "IDX images"))
+        magic, count, rows, cols = read_struct(f, ">IIII", "IDX images")
         if magic != MNIST_IMAGE_MAGIC:
             raise ValueError(f"IDX images: bad magic {magic}")
         raw = read_exact(f, count * rows * cols, "IDX images")
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
 
     with _open_maybe_gzip(labels_path) as f:
-        magic, label_count = struct.unpack(
-            ">II", read_exact(f, 8, "IDX labels"))
+        magic, label_count = read_struct(f, ">II", "IDX labels")
         if magic != MNIST_LABEL_MAGIC:
             raise ValueError(f"IDX labels: bad magic {magic}")
         raw = read_exact(f, label_count, "IDX labels")
@@ -179,15 +182,17 @@ def load_embeddings(path) -> Dataset:
         magic = f.read(4)
         if magic != EMBEDDING_MAGIC:
             raise ValueError(f"embeddings: bad magic {magic!r}")
-        version, n, dim, n_classes = struct.unpack(
-            "<IIII", read_exact(f, 16, "embeddings"))
+        version, n, dim, n_classes = read_struct(f, "<IIII", "embeddings")
         if version != EMBEDDING_VERSION:
             raise ValueError(f"embeddings: unsupported version {version}")
         feat_raw = read_exact(f, n * dim * 4, "embeddings")
         label_raw = read_exact(f, n * 2, "embeddings")
         if f.read(1):
             raise ValueError("embeddings: trailing bytes after the labels")
-        features = np.frombuffer(feat_raw, dtype="<f4").astype(np.float64)
+        features = np.frombuffer(feat_raw, dtype="<f4")
+        if not np.isfinite(features).all():
+            raise ValueError("embeddings: non-finite features")
+        features = features.astype(np.float64)
         labels = np.frombuffer(label_raw, dtype="<u2").astype(np.int64)
     return Dataset(features.reshape(n, dim), labels, n_classes, name="embeddings")
 

@@ -15,7 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .data import FusionMode, FusedBatch, neutral_fusion, read_exact
+from .data import (FusionMode, FusedBatch, neutral_fusion, read_exact,
+                   read_struct)
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
                      ff_loss_grad_outputs)
@@ -168,6 +169,7 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
     neuron's loss/gradient from this round's pos/neg inputs, then step. The
     outputs cached for the next round are the pre-update forward results.
     Neurons never see the neutral stream; the readout sees only it.
+    Updates `net` in place; returns (per-neuron mean FF loss, readout loss).
     """
     if fused.h_pos.shape[1] != net.base_dim:
         raise ValueError(
@@ -196,16 +198,15 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
         # All forwards done with pre-update weights; only now step.
         if not freeze_neurons:
             for p, g, s in zip(net.neurons, grads, net.neuron_adam):
-                p.W, _ = adam_step(p.W, g, s)
+                adam_step(p.W, g, s)
         pos, neg = new_pos, new_neg
 
     _, readout_loss, readout_grad = readout_forward_loss_grad(
         net, neu, fused.true_labels)
     if not freeze_readout:
-        net.readout_W, net.readout_adam = adam_step(
-            net.readout_W, readout_grad, net.readout_adam)
+        adam_step(net.readout_W, readout_grad, net.readout_adam)
 
-    return net, loss_sums / net.T, readout_loss
+    return loss_sums / net.T, readout_loss
 
 
 def _block_rows(net: CyclicNet) -> int:
@@ -274,22 +275,22 @@ def save_checkpoint(net: CyclicNet, path) -> None:
 def load_checkpoint(path) -> CyclicNet:
     """Read a `save_checkpoint` file of any version in CHECKPOINT_WEIGHTS.
 
-    A short or overlong file, a header field out of range, or weight shapes
-    that disagree with the stored topology, is a ValueError. The Adam states
-    start fresh: moments are not saved."""
-    def unpack(fmt):
-        return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt),
-                                              "checkpoint"))
-
-    def matrix(rows, cols):
+    A short or overlong file, a header field out of range, a non-finite
+    weight or theta, or weight shapes that disagree with the stored
+    topology, is a ValueError. The Adam states start fresh: moments are not
+    saved."""
+    def matrix(rows, cols, what):
         raw = read_exact(f, rows * cols * dtype.itemsize, "checkpoint")
-        return np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(
-            rows, cols)
+        W = np.frombuffer(raw, dtype=dtype)
+        if not np.isfinite(W).all():
+            raise ValueError(f"checkpoint: {what} W is not finite")
+        return W.astype(np.float64).reshape(rows, cols)
 
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ValueError("checkpoint: bad magic")
-        version, T, base_dim, n_classes, fusion_flag = unpack("<IIIII")
+        version, T, base_dim, n_classes, fusion_flag = read_struct(
+            f, "<IIIII", "checkpoint")
         if version not in CHECKPOINT_WEIGHTS:
             raise ValueError(f"checkpoint: unsupported version {version}")
         if T < 1:
@@ -298,13 +299,16 @@ def load_checkpoint(path) -> CyclicNet:
             raise ValueError(
                 f"checkpoint: fusion flag is {fusion_flag}, need 0 or 1")
         dtype = CHECKPOINT_WEIGHTS[version]
-        n, n_edges = unpack("<II")
-        edges = [unpack("<II") for _ in range(n_edges)]
+        n, n_edges = read_struct(f, "<II", "checkpoint")
+        edges = [read_struct(f, "<II", "checkpoint") for _ in range(n_edges)]
         neurons = []
-        for _ in range(n):
-            d_in, d_out, theta = unpack("<IId")
-            neurons.append(NeuronParams(matrix(d_out, d_in), theta))
-        readout_W = matrix(*unpack("<II"))
+        for j in range(n):
+            d_in, d_out, theta = read_struct(f, "<IId", "checkpoint")
+            if not np.isfinite(theta):
+                raise ValueError(f"checkpoint: neuron {j} theta is not finite")
+            neurons.append(NeuronParams(matrix(d_out, d_in, f"neuron {j}"),
+                                        theta))
+        readout_W = matrix(*read_struct(f, "<II", "checkpoint"), "readout")
         if f.read(1):
             raise ValueError("checkpoint: trailing bytes after the readout")
     fusion = FusionMode("overlay" if fusion_flag else "concat")

@@ -121,10 +121,9 @@ class AdamState:
                    lr=lr, weight_decay=weight_decay)
 
 
-def adam_step(params: np.ndarray, grad: np.ndarray,
-              state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new params and updates the
-    state's moments in place."""
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update, written in place into `params` and
+    the state's moments."""
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ValueError(
             f"adam_step: shape mismatch params {params.shape} "
@@ -136,8 +135,8 @@ def adam_step(params: np.ndarray, grad: np.ndarray,
     if state.weight_decay != 0.0:
         g = grad + state.weight_decay * params
 
-    # The moments are updated in place through one temporary; every
-    # product and sum is the one of the textbook formula, in its order:
+    # Params and moments are updated in place through two temporaries;
+    # every product and sum is the one of the textbook formula, in its order:
     # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
     # params - lr (m / c1) / (sqrt(v / c2) + eps).
     state.t += 1
@@ -154,4 +153,4 @@ def adam_step(params: np.ndarray, grad: np.ndarray,
     step = state.m / (1.0 - ADAM_BETA1 ** state.t)
     step *= state.lr
     step /= tmp
-    return np.subtract(params, step, out=step), state
+    params -= step

@@ -59,7 +59,6 @@ class EpochRecord:
 class Metrics:
     records: list[EpochRecord] = field(default_factory=list)
     test_err: float | None = None
-    seed: int = 0
 
     CSV_HEADER = "epoch,neuron_loss,readout_loss,train_err,val_err,seconds"
 
@@ -97,9 +96,8 @@ def _fit(cfg: TrainConfig, model, train: Dataset, val: Dataset, batch_step):
         raise ValueError("train/val dataset mismatch")
     shuffle_rng = make_rng(cfg.seed, "data-shuffle")
 
-    metrics = Metrics(seed=cfg.seed)
-    best = copy.deepcopy(model)
-    best_err = np.inf
+    metrics = Metrics()
+    best, best_err = None, np.inf
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -147,7 +145,7 @@ def train_loop(cfg: TrainConfig, train: Dataset,
     def batch_step(feats, labels):
         fused = fuse_inputs(feats, labels, train.n_classes, cfg.fusion,
                             neg_rng)
-        _, per_neuron, r_loss = train_iteration(
+        per_neuron, r_loss = train_iteration(
             net, fused, freeze_neurons=cfg.freeze_neurons,
             freeze_readout=cfg.freeze_readout)
         return per_neuron.mean(), r_loss
@@ -197,11 +195,10 @@ class BPChainMLP:
         return loss, w_grads, b_grads
 
     def step(self, w_grads, b_grads):
-        for l in range(len(self.weights)):
-            self.weights[l], self.w_adam[l] = adam_step(
-                self.weights[l], w_grads[l], self.w_adam[l])
-            self.biases[l], self.b_adam[l] = adam_step(
-                self.biases[l], b_grads[l], self.b_adam[l])
+        for param, grad, state in zip(self.weights + self.biases,
+                                      w_grads + b_grads,
+                                      self.w_adam + self.b_adam):
+            adam_step(param, grad, state)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         _, logits = self._forward(np.asarray(features, dtype=np.float64))

@@ -154,6 +154,19 @@ class TestTrainCommand:
         assert rc == 2
         assert "embeddings: truncated" in capsys.readouterr().err
 
+    def test_non_finite_embeddings_exit_2(self, tmp_path, capsys):
+        emb = tmp_path / "emb.cnne"
+        assert run_cli(["export-embeddings-template", "--out", str(emb)]) == 0
+        raw = bytearray(emb.read_bytes())
+        raw[20:24] = struct.pack("<I", 0x7FA00000)  # a signaling NaN
+        emb.write_bytes(bytes(raw))
+        rc = run_cli(["train", "--set", "dataset=embeddings",
+                      "--set", f"embeddings_train={emb}",
+                      "--set", f"embeddings_test={emb}",
+                      "--set", f"out_dir={tmp_path / 'out'}"])
+        assert rc == 2
+        assert "embeddings: non-finite features" in capsys.readouterr().err
+
     def test_oversized_embeddings_header_exit_2(self, tmp_path, capsys):
         emb = tmp_path / "emb.cnne"
         emb.write_bytes(OVERSIZED_EMBEDDINGS)
@@ -259,6 +272,31 @@ class TestEvalCommand:
             net.neurons[0].W = net.neurons[0].W[:, :7]
         else:
             net.readout_W = net.readout_W[:, :-1]
+        save_checkpoint(net, ckpt)
+        capsys.readouterr()
+        rc = run_cli(["eval", "--config", cfg_path,
+                      "--checkpoint", str(ckpt)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part,message", [
+        ("W", "checkpoint: neuron 1 W is not finite"),
+        ("theta", "checkpoint: neuron 0 theta is not finite"),
+        ("readout", "checkpoint: readout W is not finite"),
+    ], ids=["W", "theta", "readout"])
+    def test_non_finite_checkpoint_exit_2(self, cfg_path, tmp_path, capsys,
+                                          part, message):
+        out_dir = tmp_path / "out"
+        run_cli(["train", "--config", cfg_path, "--set", f"out_dir={out_dir}"])
+        ckpt = out_dir / [f for f in os.listdir(out_dir)
+                          if f.endswith(".ckpt")][0]
+        net = load_checkpoint(ckpt)
+        if part == "W":
+            net.neurons[1].W[0, 0] = np.nan
+        elif part == "theta":
+            net.neurons[0].theta = np.nan
+        else:
+            net.readout_W[0, 0] = np.inf
         save_checkpoint(net, ckpt)
         capsys.readouterr()
         rc = run_cli(["eval", "--config", cfg_path,

@@ -183,6 +183,46 @@ class TestEmbeddingFormat:
             with pytest.raises(ValueError, match="embeddings"):
                 load_embeddings(p)
 
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7FA00000, 0xFF800000],
+                             ids=["quiet-nan", "signaling-nan", "-inf"])
+    def test_non_finite_features_rejected(self, tmp_path, bits):
+        d = Dataset(np.ones((3, 2)), np.array([0, 1, 0]), 2)
+        p = tmp_path / "emb.bin"
+        save_embeddings(d, p)
+        raw = bytearray(p.read_bytes())
+        raw[28:32] = struct.pack("<I", bits)  # feature (1, 0)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError,
+                           match="embeddings: non-finite features"):
+            load_embeddings(p)
+
+    def test_every_bit_flip_rejected_or_round_trips(self, tmp_path):
+        # A flipped bit is either a ValueError or a dataset that saves and
+        # loads back to the same values.
+        feats = make_rng(6, 0).standard_normal((6, 4)).astype(np.float32)
+        d = Dataset(feats.astype(np.float64), np.arange(6) % 3, 3)
+        p, again = tmp_path / "emb.bin", tmp_path / "again.bin"
+        save_embeddings(d, p)
+        good = p.read_bytes()
+
+        def values(e):
+            return (e.n_classes, e.features.shape, e.features.tobytes(),
+                    e.labels.tobytes())
+
+        rejected = 0
+        for bit in range(8 * len(good)):
+            bad = bytearray(good)
+            bad[bit // 8] ^= 1 << (bit % 8)
+            p.write_bytes(bytes(bad))
+            try:
+                loaded = load_embeddings(p)
+            except ValueError:
+                rejected += 1
+                continue
+            save_embeddings(loaded, again)
+            assert values(load_embeddings(again)) == values(loaded), bit
+        assert 0 < rejected < 8 * len(good)
+
     def test_header_beyond_file(self, tmp_path):
         p = tmp_path / "emb.bin"
         p.write_bytes(OVERSIZED_EMBEDDINGS)

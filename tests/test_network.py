@@ -54,13 +54,12 @@ def train_iteration_explicit_zeros(net, fused):
             grads.append(grad)
             loss_sums[j] += loss
         for p, g, s in zip(net.neurons, grads, net.neuron_adam):
-            p.W, _ = adam_step(p.W, g, s)
+            adam_step(p.W, g, s)
         pos, neg = new_pos, new_neg
     _, readout_loss, readout_grad = readout_forward_loss_grad(
         net, neu, fused.true_labels)
-    net.readout_W, net.readout_adam = adam_step(
-        net.readout_W, readout_grad, net.readout_adam)
-    return net, loss_sums / net.T, readout_loss
+    adam_step(net.readout_W, readout_grad, net.readout_adam)
+    return loss_sums / net.T, readout_loss
 
 
 def assert_close_to_largest(got, want, rtol=1e-12):
@@ -186,8 +185,8 @@ class TestZeroStateRound:
                         n_classes=4, seed=1, fusion=FusionMode(fusion))
         ref = copy.deepcopy(net)
         fb = fused_batch(net, batch=32, seed=2)
-        _, losses, readout_loss = train_iteration(net, fb)
-        _, ref_losses, ref_readout_loss = train_iteration_explicit_zeros(
+        losses, readout_loss = train_iteration(net, fb)
+        ref_losses, ref_readout_loss = train_iteration_explicit_zeros(
             ref, fb)
         for p, q in zip(net.neurons, ref.neurons):
             assert_close_to_largest(p.W, q.W)
@@ -254,7 +253,7 @@ class TestTrainIteration:
         fb = fused_batch(net)
         before = [p.W.copy() for p in net.neurons]
         readout_before = net.readout_W.copy()
-        _, losses, _ = train_iteration(net, fb, freeze_neurons=True)
+        losses, _ = train_iteration(net, fb, freeze_neurons=True)
         for b, p in zip(before, net.neurons):
             np.testing.assert_array_equal(b, p.W)
         assert not np.array_equal(readout_before, net.readout_W)
@@ -272,7 +271,7 @@ class TestTrainIteration:
     def test_single_neuron_chain(self):
         net = small_net("chain", 1, T=1)
         fb = fused_batch(net)
-        _, losses, r_loss = train_iteration(net, fb)
+        losses, r_loss = train_iteration(net, fb)
         assert len(losses) == 1 and np.isfinite(r_loss)
 
     def test_stream_separation(self):
@@ -318,6 +317,17 @@ class TestTrainIteration:
         assert steps == [s.t for s in snap.neuron_adam + [snap.readout_adam]]
         for a, b in zip(arrays(snap), arrays(net)):
             assert not np.shares_memory(a, b)
+
+    def test_updates_parameters_in_place(self):
+        # Every weight array stays the same object, and every one moves.
+        net = small_net()
+        params = [p.W for p in net.neurons] + [net.readout_W]
+        before = [a.copy() for a in params]
+        train_iteration(net, fused_batch(net))
+        after = [p.W for p in net.neurons] + [net.readout_W]
+        for a, b, old in zip(after, params, before):
+            assert a is b
+            assert not np.array_equal(a, old)
 
     def test_wrong_fused_dim(self):
         net = small_net()
@@ -489,6 +499,71 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         with pytest.raises(ValueError, match=re.escape(message)):
             load_checkpoint(path)
+
+    def test_loaded_net_trains(self, tmp_path):
+        # Loaded weights are writable arrays that Adam updates in place.
+        net = small_net("cycle", 3, seed=6)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        loaded = load_checkpoint(path)
+        before = [p.W.copy() for p in loaded.neurons]
+        losses, r_loss = train_iteration(loaded, fused_batch(loaded, seed=6))
+        assert np.all(np.isfinite(losses)) and np.isfinite(r_loss)
+        for old, p in zip(before, loaded.neurons):
+            assert not np.array_equal(old, p.W)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("part,message", [
+        ("W", "checkpoint: neuron 1 W is not finite"),
+        ("theta", "checkpoint: neuron 2 theta is not finite"),
+        ("readout", "checkpoint: readout W is not finite"),
+    ], ids=["W", "theta", "readout"])
+    def test_non_finite_rejected(self, tmp_path, monkeypatch, version, part,
+                                 message):
+        net = small_net("cycle", 3)
+        if part == "W":
+            net.neurons[1].W[2, 3] = np.nan
+        elif part == "theta":
+            net.neurons[2].theta = np.nan
+        else:
+            net.readout_W[1, 4] = np.inf
+        monkeypatch.setattr(network_module, "CHECKPOINT_VERSION", version)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    def test_every_bit_flip_rejected_or_round_trips(self, tmp_path):
+        # A flipped bit is either a ValueError or a finite net that saves
+        # and loads back to the same values. The loaded nets are not run: a
+        # flip in T can ask for billions of rounds.
+        net = small_net("ws", 4, base_dim=4, d_out=2, n_classes=2, seed=7)
+        train_iteration(net, fused_batch(net, seed=7))
+        path, again = tmp_path / "net.ckpt", tmp_path / "again.ckpt"
+        save_checkpoint(net, path)
+        good = path.read_bytes()
+
+        def values(n):
+            return (n.topology, n.T, n.base_dim, n.n_classes, n.fusion,
+                    [(p.W.tobytes(), struct.pack("<d", p.theta))
+                     for p in n.neurons], n.readout_W.tobytes())
+
+        rejected = 0
+        for bit in range(8 * len(good)):
+            bad = bytearray(good)
+            bad[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(bad))
+            try:
+                loaded = load_checkpoint(path)
+            except ValueError:
+                rejected += 1
+                continue
+            assert all(np.isfinite(p.W).all() and np.isfinite(p.theta)
+                       for p in loaded.neurons), bit
+            assert np.isfinite(loaded.readout_W).all(), bit
+            save_checkpoint(loaded, again)
+            assert values(load_checkpoint(again)) == values(loaded), bit
+        assert 0 < rejected < 8 * len(good)
 
     def test_header_beyond_file(self, tmp_path):
         path = tmp_path / "net.ckpt"

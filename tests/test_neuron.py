@@ -204,7 +204,7 @@ class TestNeuronStep:
     def test_zero_grad_no_op(self):
         p = make_neuron(np.eye(3))
         W0 = p.W.copy()
-        p.W, _ = adam_step(p.W, np.zeros((3, 3)), adam_for(p))
+        adam_step(p.W, np.zeros((3, 3)), adam_for(p))
         np.testing.assert_array_equal(p.W, W0)
 
     def test_descent_on_fixed_batch(self):
@@ -217,7 +217,7 @@ class TestNeuronStep:
         for _ in range(10):
             loss, grad = ff_loss_and_grad(p, pos, neg)
             losses.append(loss)
-            p.W, _ = adam_step(p.W, grad, adam)
+            adam_step(p.W, grad, adam)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_separable_batch_converges(self):
@@ -231,7 +231,7 @@ class TestNeuronStep:
         loss = np.inf
         for _ in range(500):
             loss, grad = ff_loss_and_grad(p, pos, neg)
-            p.W, _ = adam_step(p.W, grad, adam)
+            adam_step(p.W, grad, adam)
         assert loss < 0.1
 
     def test_determinism(self):
@@ -243,7 +243,7 @@ class TestNeuronStep:
             neg = rng.standard_normal((4, 5))
             for _ in range(3):
                 _, grad = ff_loss_and_grad(p, pos, neg)
-                p.W, _ = adam_step(p.W, grad, adam)
+                adam_step(p.W, grad, adam)
             return p.W
 
         np.testing.assert_array_equal(run(), run())

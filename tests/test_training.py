@@ -175,6 +175,19 @@ class TestBPChainBaseline:
         for b, w in zip(before, model.weights):
             np.testing.assert_array_equal(b, w)
 
+    def test_step_updates_parameters_in_place(self):
+        # Every weight and bias stays the same object, and every one moves.
+        rng = make_rng(1, 0)
+        model = BPChainMLP(dim=4, width=8, n_classes=2, rng=rng)
+        params = model.weights + model.biases
+        before = [a.copy() for a in params]
+        x = rng.standard_normal((16, 4))
+        _, wg, bg = model.loss_and_grads(x, rng.integers(0, 2, size=16))
+        model.step(wg, bg)
+        for a, b, old in zip(model.weights + model.biases, params, before):
+            assert a is b
+            assert not np.array_equal(a, old)
+
     def test_run_config_dispatch(self):
         train, val, test = make_data()
         cfg = quick_cfg(baseline="bp-chain", max_epochs=1)
