@@ -33,6 +33,10 @@ class ConfigError(Exception):
     pass
 
 
+# `dataset = mnist` trains on this many leading images of the training
+# files and validates on the rest.
+MNIST_TRAIN_ROWS = 50000
+
 DEFAULTS = {
     "graph": "complete",
     "n": "4",
@@ -68,35 +72,37 @@ DEFAULTS = {
 }
 
 
+def _setting(item: str, where: str) -> tuple[str, str]:
+    """(key, value) of one `key = value` setting, both stripped; `where`
+    names the setting in an error."""
+    key, eq, value = item.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+    if key not in DEFAULTS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value.strip()
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     try:
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
     except OSError as e:
         raise ConfigError(f"{path}: {e}") from None
     out = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = value
+        if line:
+            key, value = _setting(line, f"{path}:{lineno}")
+            out[key] = value
     return out
 
 
 def apply_overrides(cfg: dict[str, str], sets: list[str]) -> dict[str, str]:
     cfg = dict(cfg)
     for item in sets or []:
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r}: expected key=value")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        cfg[key] = value.strip()
+        key, value = _setting(item, "--set")
+        cfg[key] = value
     return cfg
 
 
@@ -167,9 +173,10 @@ def _data_settings(cfg: dict[str, str]) -> dict:
         n, dim, classes = (_parse(cfg, k, int) for k in (
             "synth_n_per_class", "synth_dim", "synth_classes"))
         sep = _parse(cfg, "synth_separation", float)
-        if n < 1 or dim < 1 or classes < 1:
-            raise ConfigError(
-                "synth_n_per_class, synth_dim and synth_classes must be >= 1")
+        if n < 1 or dim < 1:
+            raise ConfigError("synth_n_per_class and synth_dim must be >= 1")
+        if classes < 2:
+            raise ConfigError(f"synth_classes is {classes}, need at least 2")
         if classes > dim:
             raise ConfigError(f"synth_classes {classes} > synth_dim {dim}")
         if not (np.isfinite(sep) and sep >= 0):
@@ -179,12 +186,25 @@ def _data_settings(cfg: dict[str, str]) -> dict:
 
 
 def _load_file(loader, *paths):
-    """`loader(*paths)`, with a malformed file reported as an input error
-    (exit 2) rather than a runtime failure."""
+    """`loader(*paths)`, with a malformed or unreadable file reported as an
+    input error (exit 2) rather than a runtime failure."""
     try:
         return loader(*paths)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         raise ConfigError(str(e)) from None
+
+
+def load_test_set(cfg: dict[str, str]) -> Dataset:
+    """The test split of the config's dataset; no training data is read."""
+    s = _data_settings(cfg)
+    if cfg["dataset"] == "mnist":
+        return _load_file(load_mnist_idx,
+                          _data_path(cfg["mnist_test_images"]),
+                          _data_path(cfg["mnist_test_labels"]))
+    if cfg["dataset"] == "embeddings":
+        return _load_file(load_embeddings, _data_path(cfg["embeddings_test"]))
+    return synth_blobs(max(s["n"] // 4, 1), s["dim"], s["classes"], s["sep"],
+                       make_rng(s["seed"], 101))
 
 
 def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
@@ -192,27 +212,26 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
     s = _data_settings(cfg)
     seed = s["seed"]
     if cfg["dataset"] == "mnist":
-        # Fixed 50k/10k/10k split of the canonical files.
-        full = _load_file(load_mnist_idx, _data_path(cfg["mnist_images"]),
+        path = _data_path(cfg["mnist_images"])
+        full = _load_file(load_mnist_idx, path,
                           _data_path(cfg["mnist_labels"]))
-        train = full.subset(np.arange(0, 50000))
-        val = full.subset(np.arange(50000, full.n_samples))
-        test = _load_file(load_mnist_idx,
-                          _data_path(cfg["mnist_test_images"]),
-                          _data_path(cfg["mnist_test_labels"]))
-        return train, val, test
+        if full.n_samples < MNIST_TRAIN_ROWS:
+            raise ConfigError(f"{path}: {full.n_samples} images, the fixed "
+                              f"split needs at least {MNIST_TRAIN_ROWS}")
+        train = full.subset(np.arange(0, MNIST_TRAIN_ROWS))
+        val = full.subset(np.arange(MNIST_TRAIN_ROWS, full.n_samples))
+        return train, val, load_test_set(cfg)
     if cfg["dataset"] == "embeddings":
-        full = _load_file(load_embeddings,
-                          _data_path(cfg["embeddings_train"]))
-        train, val = split(full, s["val_fraction"],
-                           make_rng(seed, "data-shuffle"))
-        test = _load_file(load_embeddings, _data_path(cfg["embeddings_test"]))
-        return train, val, test
-    n, dim, classes, sep = s["n"], s["dim"], s["classes"], s["sep"]
-    full = synth_blobs(n, dim, classes, sep, make_rng(seed, 100))
+        path = _data_path(cfg["embeddings_train"])
+        full = _load_file(load_embeddings, path)
+        if full.n_classes < 2:
+            raise ConfigError(
+                f"{path}: n_classes is {full.n_classes}, need at least 2")
+    else:
+        full = synth_blobs(s["n"], s["dim"], s["classes"], s["sep"],
+                           make_rng(seed, 100))
     train, val = split(full, s["val_fraction"], make_rng(seed, "data-shuffle"))
-    test = synth_blobs(max(n // 4, 1), dim, classes, sep, make_rng(seed, 101))
-    return train, val, test
+    return train, val, load_test_set(cfg)
 
 
 def config_hash(cfg: dict[str, str]) -> str:
@@ -286,7 +305,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = effective_config(args.config, args.set)
     net = _load_file(load_checkpoint, args.checkpoint)
-    _, _, test = load_datasets(cfg)
+    test = load_test_set(cfg)
     for what, data_value, net_value in (
             ("dim", test.dim, net.raw_dim),
             ("n_classes", test.n_classes, net.n_classes)):
@@ -318,12 +337,7 @@ def cmd_sweep(args) -> int:
     base = effective_config(args.config, None)
     axes = []
     for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r}: expected key=v1,v2,...")
-        key, values = item.split("=", 1)
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"--set: unknown key {key!r}")
+        key, values = _setting(item, "--set")
         if key == "out_dir":
             raise ConfigError("sweep: out_dir cannot be swept; the summary "
                               "goes to the config's out_dir")

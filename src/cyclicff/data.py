@@ -8,7 +8,9 @@ embeddings append the label vector.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,19 +101,18 @@ def fuse_inputs(features: np.ndarray, labels: np.ndarray, n_classes: int,
     offsets = rng.integers(1, n_classes, size=batch)
     neg_labels = (labels + offsets) % n_classes
     neg_vecs = eye[neg_labels]
-    neu_vecs = np.full((batch, n_classes), 1.0 / n_classes)
 
     return FusedBatch(
         h_pos=_fuse(features, pos_vecs, mode),
         h_neg=_fuse(features, neg_vecs, mode),
-        h_neu=_fuse(features, neu_vecs, mode),
+        h_neu=neutral_fusion(features, n_classes, mode),
         true_labels=labels,
     )
 
 
 def neutral_fusion(features: np.ndarray, n_classes: int,
                    mode: FusionMode) -> np.ndarray:
-    """Neutral stream only; used at inference time."""
+    """The neutral stream: every class weighted 1 / n_classes."""
     features = np.asarray(features, dtype=np.float64)
     neu = np.full((len(features), n_classes), 1.0 / n_classes)
     return _fuse(features, neu, mode)
@@ -148,22 +149,31 @@ def read_struct(f, fmt: str, what: str) -> tuple:
     return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), what))
 
 
+def _read_idx(path, magic: int, n_sizes: int, what: str):
+    """(sizes, payload bytes) of a big-endian IDX file of unsigned bytes with
+    `n_sizes` dimension sizes, plain or gzip; nothing may follow the data.
+    A cut or corrupt gzip stream is a ValueError like any malformed file."""
+    try:
+        with _open_maybe_gzip(path) as f:
+            got, *sizes = read_struct(f, ">" + "I" * (1 + n_sizes), what)
+            if got != magic:
+                raise ValueError(f"{what}: bad magic {got}")
+            raw = read_exact(f, math.prod(sizes), what)
+            if f.read(1):
+                raise ValueError(f"{what}: trailing bytes after the data")
+    except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+        raise ValueError(f"{what}: {e}") from None
+    return sizes, raw
+
+
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Load the big-endian IDX image/label pair; pixels scaled to [0, 1]."""
-    with _open_maybe_gzip(images_path) as f:
-        magic, count, rows, cols = read_struct(f, ">IIII", "IDX images")
-        if magic != MNIST_IMAGE_MAGIC:
-            raise ValueError(f"IDX images: bad magic {magic}")
-        raw = read_exact(f, count * rows * cols, "IDX images")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-
-    with _open_maybe_gzip(labels_path) as f:
-        magic, label_count = read_struct(f, ">II", "IDX labels")
-        if magic != MNIST_LABEL_MAGIC:
-            raise ValueError(f"IDX labels: bad magic {magic}")
-        raw = read_exact(f, label_count, "IDX labels")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
+    (count, rows, cols), raw = _read_idx(images_path, MNIST_IMAGE_MAGIC, 3,
+                                         "IDX images")
+    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
+    (label_count,), raw = _read_idx(labels_path, MNIST_LABEL_MAGIC, 1,
+                                    "IDX labels")
+    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     if count != label_count:
         raise ValueError(
             f"IDX: {count} images but {label_count} labels")

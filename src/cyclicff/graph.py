@@ -139,29 +139,20 @@ def predecessors(t: Topology, j: int) -> list[int]:
 
 
 def has_cycle(t: Topology) -> bool:
-    """Iterative DFS three-colour cycle check."""
-    adj = {i: [] for i in range(t.n_neurons)}
+    """Kahn's test: peel off neurons whose in-degree has dropped to 0; the
+    graph is cyclic if and only if some neuron is never peeled."""
+    succ = [[] for _ in range(t.n_neurons)]
+    indeg = [0] * t.n_neurons
     for src, dst in t.synapses:
-        adj[src].append(dst)
-    color = [0] * t.n_neurons  # 0 white, 1 grey, 2 black
-    for root in range(t.n_neurons):
-        if color[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if color[nxt] == 1:
-                    return True
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    break
-            else:
-                color[node] = 2
-                stack.pop()
-    return False
+        succ[src].append(dst)
+        indeg[dst] += 1
+    peeled = [i for i in range(t.n_neurons) if indeg[i] == 0]
+    for i in peeled:  # grows while it is walked
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                peeled.append(j)
+    return len(peeled) < t.n_neurons
 
 
 def to_edge_list(t: Topology) -> str:

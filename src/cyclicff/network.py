@@ -100,26 +100,24 @@ def zero_state(net: CyclicNet, batch: int) -> PropagationState:
     return PropagationState(pos=zeros(), neg=zeros(), neu=zeros())
 
 
-def _neuron_input(fused_stream: np.ndarray, outputs: list[np.ndarray],
-                  preds: list[int]) -> np.ndarray:
-    if not preds:
-        return fused_stream
-    return np.concatenate([fused_stream] + [outputs[i] for i in preds], axis=1)
-
-
 def _round_input(net: CyclicNet, j: int, fused_stream: np.ndarray,
                  outputs: list[np.ndarray] | None):
-    """Neuron j's (params, input) for one round of one stream.
+    """Neuron j's (params, input) for one round of one stream: the fused
+    stream, then its predecessors' outputs in ascending order.
 
     `outputs=None` is the zero state. Every predecessor column of the input
     is then zero, so it adds nothing to the product or to the row norm: the
     neuron runs as the fused-input block of W on the fused stream alone, and
-    the zero columns are neither built nor multiplied.
+    the zero columns are neither built nor multiplied. A neuron without
+    predecessors gets the fused stream itself, not a copy.
     """
-    p = net.neurons[j]
+    p, preds = net.neurons[j], net.preds[j]
     if outputs is None:
         return NeuronParams(p.W[:, :net.base_dim], p.theta), fused_stream
-    return p, _neuron_input(fused_stream, outputs, net.preds[j])
+    if not preds:
+        return p, fused_stream
+    return p, np.concatenate([fused_stream] + [outputs[i] for i in preds],
+                             axis=1)
 
 
 def forward_round(net: CyclicNet, fused_stream: np.ndarray,

@@ -86,13 +86,11 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so the
+    exponential never overflows: exp(-|x|) is exp(-x) or exp(x) there."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

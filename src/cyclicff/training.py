@@ -35,6 +35,9 @@ class TrainConfig:
     def validate(self):
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        for name in ("lr", "theta", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
         for name in ("d_out", "T", "batch_size", "max_epochs"):

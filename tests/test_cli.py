@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from cyclicff import cli
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
                           effective_config, main, parse_config_file,
                           to_train_config)
-from cyclicff.network import load_checkpoint, save_checkpoint
+from cyclicff.data import save_embeddings, synth_blobs
+from cyclicff.graph import GeneratorSpec, generate
+from cyclicff.network import build_network, load_checkpoint, save_checkpoint
+from cyclicff.numerics import make_rng
 
 
 SYNTH_CFG = """
@@ -39,6 +43,14 @@ def cfg_path(tmp_path):
 
 def run_cli(args):
     return main(args)
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if any run starts training."""
+    def fail(*args, **kwargs):
+        pytest.fail("run_config was called")
+    monkeypatch.setattr(cli, "run_config", fail)
 
 
 class TestConfigParsing:
@@ -89,7 +101,7 @@ class TestTrainCommand:
         assert stem.endswith("-7")
         assert f"{stem}.ckpt" in files
         assert f"{stem}.csv" in files
-        manifest = json.load(open(out_dir / f"{stem}.manifest.json"))
+        manifest = json.loads((out_dir / f"{stem}.manifest.json").read_text())
         assert manifest["config"]["seed"] == "7"
         assert manifest["seeds"] == [7]
         for path in manifest["artifacts"].values():
@@ -101,7 +113,7 @@ class TestTrainCommand:
                  "--set", f"out_dir={out_dir}"])
         manifest_file = [f for f in os.listdir(out_dir)
                          if f.endswith(".manifest.json")][0]
-        manifest = json.load(open(out_dir / manifest_file))
+        manifest = json.loads((out_dir / manifest_file).read_text())
         assert manifest["config"]["T"] == "5"
 
     def test_default_out_dir(self, cfg_path, tmp_path, monkeypatch):
@@ -123,7 +135,7 @@ class TestTrainCommand:
                         "--set", f"out_dir={out_dir}"]) == 0
         manifest_file = [f for f in os.listdir(out_dir)
                          if f.endswith(".manifest.json")][0]
-        manifest = json.load(open(out_dir / manifest_file))
+        manifest = json.loads((out_dir / manifest_file).read_text())
         assert manifest["git_describe"] == ""
 
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
@@ -133,7 +145,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("value", [
         "synth_dim=x", "synth_classes=30", "val_fraction=1.5",
-        "synth_separation=-1", "synth_n_per_class=0"])
+        "synth_separation=-1", "synth_n_per_class=0", "synth_classes=1",
+        "lr=nan", "lr=inf", "theta=nan", "weight_decay=nan"])
     def test_bad_data_value_exit_2(self, cfg_path, tmp_path, monkeypatch,
                                    value):
         calls = []
@@ -176,6 +189,47 @@ class TestTrainCommand:
                       "--set", f"out_dir={tmp_path / 'out'}"])
         assert rc == 2
         assert "embeddings: truncated" in capsys.readouterr().err
+
+    def test_one_class_embeddings_exit_2(self, tmp_path, capsys,
+                                         no_training):
+        emb = tmp_path / "emb.cnne"
+        assert run_cli(["export-embeddings-template", "--out", str(emb),
+                        "--classes", "1"]) == 0
+        rc = run_cli(["train", "--set", "dataset=embeddings",
+                      "--set", f"embeddings_train={emb}",
+                      "--set", f"embeddings_test={emb}",
+                      "--set", f"out_dir={tmp_path / 'out'}"])
+        assert rc == 2
+        assert "n_classes is 1, need at least 2" in capsys.readouterr().err
+
+    def test_short_mnist_training_files_exit_2(self, tmp_path, capsys,
+                                               no_training):
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        write_idx_images(ip, np.zeros((100, 2, 2), dtype=np.uint8))
+        write_idx_labels(lp, np.zeros(100, dtype=np.uint8))
+        rc = run_cli(["train", "--set", "dataset=mnist",
+                      "--set", f"mnist_images={ip}",
+                      "--set", f"mnist_labels={lp}",
+                      "--set", f"mnist_test_images={ip}",
+                      "--set", f"mnist_test_labels={lp}",
+                      "--set", f"out_dir={tmp_path / 'out'}"])
+        assert rc == 2
+        assert "100 images, the fixed split needs at least 50000" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("train_file", ["", "."],
+                             ids=["unset", "directory"])
+    def test_directory_as_data_file_exit_2(self, tmp_path, capsys,
+                                           monkeypatch, no_training,
+                                           train_file):
+        emb = tmp_path / "emb.cnne"
+        assert run_cli(["export-embeddings-template", "--out", str(emb)]) == 0
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli(["train", "--set", "dataset=embeddings",
+                      "--set", f"embeddings_train={train_file}",
+                      "--set", f"embeddings_test={emb}"])
+        assert rc == 2
+        assert "Is a directory" in capsys.readouterr().err
 
     def test_value_error_while_training_exit_1(self, cfg_path, tmp_path,
                                                monkeypatch):
@@ -323,6 +377,45 @@ class TestEvalCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dataset", ["embeddings", "mnist"])
+    def test_reads_only_the_test_split(self, tmp_path, capsys, dataset):
+        # Eval of a 16-dim checkpoint, first with only the test files on
+        # disk, then with the training files written as well.
+        rng = make_rng(1, 0)
+        n_classes = 2 if dataset == "embeddings" else 10
+        net = build_network(generate(GeneratorSpec("complete", 2)),
+                            16 + n_classes, 4, n_classes, 1.0, 2,
+                            make_rng(0, "weights"))
+        net.readout_W = rng.standard_normal(net.readout_W.shape)
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        files = {
+            "embeddings": {"train": ["embeddings_train"],
+                           "test": ["embeddings_test"]},
+            "mnist": {"train": ["mnist_images", "mnist_labels"],
+                      "test": ["mnist_test_images", "mnist_test_labels"]},
+        }[dataset]
+
+        def write(split):
+            paths = [tmp_path / key for key in files[split]]
+            if dataset == "embeddings":
+                save_embeddings(synth_blobs(6, 16, 2, 1.0, rng), *paths)
+            else:
+                write_idx_images(paths[0], rng.integers(
+                    0, 256, (12, 4, 4), dtype=np.uint8))
+                write_idx_labels(paths[1], rng.integers(0, 10, 12))
+
+        args = ["eval", "--checkpoint", str(tmp_path / "net.ckpt"),
+                "--set", f"dataset={dataset}"]
+        for key in files["train"] + files["test"]:
+            args += ["--set", f"{key}={tmp_path / key}"]
+        write("test")
+        assert run_cli(args) == 0
+        alone = capsys.readouterr().out
+        assert alone.startswith("test_error_pct=")
+        write("train")
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out == alone
+
     @pytest.mark.parametrize("override,message", [
         ("synth_dim=9", "dim 9, the checkpoint expects 8"),
         ("synth_classes=3", "n_classes 3, the checkpoint expects 2"),
@@ -350,7 +443,7 @@ def sweep_rows(args, capsys):
     """Run `cyclicff sweep` and return its summary rows without header."""
     assert run_cli(["sweep"] + args) == 0
     summary = capsys.readouterr().out.strip()
-    return open(summary).read().splitlines()[1:]
+    return Path(summary).read_text().splitlines()[1:]
 
 
 class TestSweepCommand:
@@ -362,7 +455,7 @@ class TestSweepCommand:
                       "--seeds", "1..2"])
         assert rc == 0
         summary = capsys.readouterr().out.strip()
-        lines = open(summary).read().splitlines()
+        lines = Path(summary).read_text().splitlines()
         assert lines[0] == "theta,T,mean_test_err,std_test_err,n_seeds"
         assert len(lines) == 5  # 2x2 grid, seeds aggregated per row
 
@@ -373,7 +466,7 @@ class TestSweepCommand:
                       "--set", "graph=chain,complete", "--seeds", "1,2"])
         assert rc == 0
         summary = capsys.readouterr().out.strip()
-        lines = open(summary).read().splitlines()
+        lines = Path(summary).read_text().splitlines()
         assert lines[0] == "graph,mean_test_err,std_test_err,n_seeds"
         assert len(lines) == 3
         assert all(ln.endswith(",2") for ln in lines[1:])
@@ -427,10 +520,10 @@ class TestSweepCommand:
                 "--seeds", "1,2"]
         assert run_cli(args + ["--jobs", "1"]) == 0
         summary = capsys.readouterr().out.strip()
-        serial = open(summary, "rb").read()
+        serial = Path(summary).read_bytes()
         assert run_cli(args + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out.strip() == summary
-        assert open(summary, "rb").read() == serial
+        assert Path(summary).read_bytes() == serial
 
     def test_different_axes_keep_separate_summaries(self, sweep_cfg,
                                                     tmp_path, capsys):

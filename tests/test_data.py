@@ -131,6 +131,24 @@ class TestMnistIdx:
                            match="IDX images: truncated, 9 of 3367254359280"):
             load_mnist_idx(ip, lp)
 
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+    def test_every_truncation_and_trailing_byte_rejected(self, tmp_path, gz):
+        # Truncations cut the file as stored; the extra byte goes after the
+        # data, inside the gzip stream for a gzip file.
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        write_idx_images(ip, np.arange(12, dtype=np.uint8).reshape(3, 2, 2),
+                         gz=gz)
+        write_idx_labels(lp, np.array([0, 1, 2]), gz=gz)
+        for path in (ip, lp):
+            good = path.read_bytes()
+            longer = (gzip.compress(gzip.decompress(good) + b"\0") if gz
+                      else good + b"\0")
+            for bad in [good[:n] for n in range(len(good))] + [longer]:
+                path.write_bytes(bad)
+                with pytest.raises(ValueError, match="IDX"):
+                    load_mnist_idx(ip, lp)
+            path.write_bytes(good)
+
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "img", tmp_path / "lab"
         write_idx_images(ip, np.zeros((3, 28, 28), dtype=np.uint8))

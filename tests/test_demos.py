@@ -8,6 +8,7 @@ import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_imports_resolve(path):
-    tree = ast.parse(open(path).read(), filename=path)
+    tree = ast.parse(Path(path).read_text(), filename=path)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and (
                 node.module.split(".")[0] == "cyclicff"):

@@ -31,6 +31,30 @@ class TestFixedGenerators:
         assert has_cycle(generate(GeneratorSpec("complete", 2)))
 
 
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Topology(n, tuple(edges))
+
+
+def reaches_itself(t: Topology) -> bool:
+    """Oracle: Warshall's transitive closure has a true diagonal entry."""
+    reach = np.zeros((t.n_neurons, t.n_neurons), dtype=bool)
+    for src, dst in t.synapses:
+        reach[src, dst] = True
+    for k in range(t.n_neurons):
+        reach |= reach[:, [k]] & reach[[k], :]
+    return bool(reach.diagonal().any())
+
+
+@given(digraphs())
+@settings(max_examples=400, deadline=None)
+def test_has_cycle_matches_reachability_oracle(t):
+    assert has_cycle(t) == reaches_itself(t)
+
+
 class TestWS:
     def test_p_zero_is_ring_lattice(self):
         t = generate(GeneratorSpec("ws", 8, ws_k=2, ws_p=0.0))

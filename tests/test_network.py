@@ -11,8 +11,8 @@ from conftest import OVERSIZED_CHECKPOINT, central_diff, rel_err
 from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate
 import cyclicff.network as network_module
-from cyclicff.network import (CyclicNet, _block_rows, _neuron_input,
-                              build_network, forward_round, load_checkpoint,
+from cyclicff.network import (CyclicNet, _block_rows, build_network,
+                              forward_round, load_checkpoint,
                               predict, propagate_step,
                               readout_forward_loss_grad, save_checkpoint,
                               train_iteration, zero_state)
@@ -35,6 +35,12 @@ def fused_batch(net, batch=6, seed=0):
                        make_rng(seed, "negative-labels"))
 
 
+def full_input(fused, outputs, preds):
+    """Reference round input: the fused stream, then each predecessor's
+    output in ascending order."""
+    return np.hstack([fused] + [outputs[i] for i in preds])
+
+
 def train_iteration_explicit_zeros(net, fused):
     """Reference `train_iteration`: every stream starts from explicit zero
     outputs, so every round, the first included, runs each neuron on its
@@ -47,8 +53,8 @@ def train_iteration_explicit_zeros(net, fused):
         new_pos, new_neg, grads = [], [], []
         for j, p in enumerate(net.neurons):
             loss, grad, h_pos, h_neg = ff_loss_grad_outputs(
-                p, _neuron_input(fused.h_pos, pos, net.preds[j]),
-                _neuron_input(fused.h_neg, neg, net.preds[j]))
+                p, full_input(fused.h_pos, pos, net.preds[j]),
+                full_input(fused.h_neg, neg, net.preds[j]))
             new_pos.append(h_pos)
             new_neg.append(h_neg)
             grads.append(grad)
@@ -147,7 +153,7 @@ class TestPropagateStep:
         stepped = propagate_step(net, state, fb)
         reversed_outputs = [None] * 4
         for j in reversed(range(4)):
-            h_in = _neuron_input(fb.h_pos, state.pos, net.preds[j])
+            h_in = full_input(fb.h_pos, state.pos, net.preds[j])
             reversed_outputs[j] = neuron_forward(net.neurons[j], h_in)
         for j in range(4):
             np.testing.assert_array_equal(stepped.pos[j], reversed_outputs[j])
@@ -370,10 +376,9 @@ class TestPredict:
         h_neu = neutral_fusion(feats, net.n_classes, net.fusion)
         outputs = [np.zeros((rows, p.d_out)) for p in net.neurons]
         for _ in range(net.T):
-            outputs = [neuron_forward(net.neurons[j],
-                                      _neuron_input(h_neu, outputs,
-                                                    net.preds[j]))
-                       for j in range(4)]
+            outputs = [neuron_forward(
+                net.neurons[j], full_input(h_neu, outputs, net.preds[j]))
+                for j in range(4)]
         logits = np.concatenate(outputs, axis=1) @ net.readout_W.T
 
         seen = []

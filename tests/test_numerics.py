@@ -234,3 +234,33 @@ def test_sigmoid_matches_reference():
     x = np.linspace(-30, 30, 101)
     np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)),
                                rtol=1e-12)
+
+
+def masked_sigmoid(x):
+    """Reference: `sigmoid` in its masked form, one exp per half-line."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_form():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        1e308, -1e308, tiny, -tiny, 709.8, -709.8,
+                        745.2, -745.2])
+    rng = make_rng(11, 0)
+    scaled = rng.standard_normal(100_000) * 10.0 ** rng.uniform(
+        -320, 300, 100_000)
+    # Uniformly random bit patterns, NaNs and subnormals among them.
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    x = np.concatenate([special, scaled, bits])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+    want = masked_sigmoid(x)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -208,7 +210,8 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(p), "--set", "T=1,2",
                          "--seeds", "0"]) == 0
         summary = capsys.readouterr().out.strip()
-        rows = [ln.split(",") for ln in open(summary).read().splitlines()[1:]]
+        lines = Path(summary).read_text().splitlines()
+        rows = [ln.split(",") for ln in lines[1:]]
         assert [r[0] for r in rows] == ["1", "2"]
         assert all(0.0 <= float(r[1]) <= 100.0 for r in rows)
 
