@@ -142,11 +142,16 @@ def to_train_config(cfg: dict[str, str]) -> TrainConfig:
         raise ConfigError(str(e)) from None
 
 
-def _data_path(cfg_value: str) -> str:
-    if os.path.isabs(cfg_value) or os.path.exists(cfg_value):
-        return cfg_value
+def _data_path(cfg: dict[str, str], key: str) -> str:
+    """The file named by the data key `key`: as given when it is absolute or
+    exists, else under $CYCLIC_FF_DATA_DIR (default `.`)."""
+    value = cfg[key]
+    if not value:
+        raise ConfigError(f"{key} is not set")
+    if os.path.isabs(value) or os.path.exists(value):
+        return value
     root = os.environ.get("CYCLIC_FF_DATA_DIR", ".")
-    return os.path.join(root, cfg_value)
+    return os.path.join(root, value)
 
 
 def _parse(cfg: dict[str, str], key: str, kind: type):
@@ -199,10 +204,10 @@ def load_test_set(cfg: dict[str, str]) -> Dataset:
     s = _data_settings(cfg)
     if cfg["dataset"] == "mnist":
         return _load_file(load_mnist_idx,
-                          _data_path(cfg["mnist_test_images"]),
-                          _data_path(cfg["mnist_test_labels"]))
+                          _data_path(cfg, "mnist_test_images"),
+                          _data_path(cfg, "mnist_test_labels"))
     if cfg["dataset"] == "embeddings":
-        return _load_file(load_embeddings, _data_path(cfg["embeddings_test"]))
+        return _load_file(load_embeddings, _data_path(cfg, "embeddings_test"))
     return synth_blobs(max(s["n"] // 4, 1), s["dim"], s["classes"], s["sep"],
                        make_rng(s["seed"], 101))
 
@@ -212,17 +217,18 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
     s = _data_settings(cfg)
     seed = s["seed"]
     if cfg["dataset"] == "mnist":
-        path = _data_path(cfg["mnist_images"])
+        path = _data_path(cfg, "mnist_images")
         full = _load_file(load_mnist_idx, path,
-                          _data_path(cfg["mnist_labels"]))
+                          _data_path(cfg, "mnist_labels"))
         if full.n_samples < MNIST_TRAIN_ROWS:
             raise ConfigError(f"{path}: {full.n_samples} images, the fixed "
                               f"split needs at least {MNIST_TRAIN_ROWS}")
-        train = full.subset(np.arange(0, MNIST_TRAIN_ROWS))
-        val = full.subset(np.arange(MNIST_TRAIN_ROWS, full.n_samples))
+        # Slices, not index arrays, so both parts share `full`'s memory.
+        train = full.subset(slice(0, MNIST_TRAIN_ROWS))
+        val = full.subset(slice(MNIST_TRAIN_ROWS, None))
         return train, val, load_test_set(cfg)
     if cfg["dataset"] == "embeddings":
-        path = _data_path(cfg["embeddings_train"])
+        path = _data_path(cfg, "embeddings_train")
         full = _load_file(load_embeddings, path)
         if full.n_classes < 2:
             raise ConfigError(
@@ -405,8 +411,8 @@ def cmd_inspect_graph(args) -> int:
 
 
 def cmd_export_embeddings_template(args) -> int:
-    if args.classes < 1:
-        raise ConfigError("--classes must be >= 1")
+    if args.classes < 2:
+        raise ConfigError("--classes must be >= 2")
     if args.dim < args.classes:
         raise ConfigError(f"--dim {args.dim} < --classes {args.classes}")
     if args.samples < args.classes:

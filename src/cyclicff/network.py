@@ -35,6 +35,10 @@ PREDICT_BLOCK_BYTES = 1 << 20
 # Lower bound on the rows of a block. With wide neurons the budget alone
 # gives blocks too short for BLAS to run the matmuls at full speed.
 PREDICT_MIN_BLOCK_ROWS = 256
+# Largest number of propagation rounds a net may have. The paper and the
+# defaults use T = 3 and the demos sweep up to 8; the bound keeps a corrupt
+# checkpoint or a typo from running billions of rounds.
+MAX_T = 1024
 
 
 @dataclass
@@ -78,8 +82,9 @@ def build_network(t: Topology, base_dim: int, d_out: int, n_classes: int,
 
     d_in(j) = base_dim + d_out per predecessor of j; d_out is uniform.
     """
-    if T < 1 or d_out < 1:
-        raise ValueError("build_network: need T >= 1 and d_out >= 1")
+    if not 1 <= T <= MAX_T or d_out < 1:
+        raise ValueError(
+            f"build_network: need 1 <= T <= {MAX_T} and d_out >= 1")
     neurons = []
     for j in range(t.n_neurons):
         d_in = base_dim + d_out * len(predecessors(t, j))
@@ -186,9 +191,10 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
             loss, grad, h_pos, h_neg = ff_loss_grad_outputs(
                 p, h_in_pos, h_in_neg)
             # In the zero state the predecessor columns' gradient is zero.
-            pad = net.neurons[j].d_in - p.d_in
-            if pad:
-                grad = np.pad(grad, ((0, 0), (0, pad)))
+            if p.d_in != net.neurons[j].d_in:
+                full = np.zeros_like(net.neurons[j].W)
+                full[:, :p.d_in] = grad
+                grad = full
             new_pos.append(h_pos)
             new_neg.append(h_neg)
             grads.append(grad)
@@ -293,6 +299,8 @@ def load_checkpoint(path) -> CyclicNet:
             raise ValueError(f"checkpoint: unsupported version {version}")
         if T < 1:
             raise ValueError(f"checkpoint: T is {T}, need T >= 1")
+        if T > MAX_T:
+            raise ValueError(f"checkpoint: T is {T}, need T <= {MAX_T}")
         if fusion_flag not in (0, 1):
             raise ValueError(
                 f"checkpoint: fusion flag is {fusion_flag}, need 0 or 1")

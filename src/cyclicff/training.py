@@ -3,7 +3,6 @@ baseline."""
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field, replace
 
@@ -11,7 +10,8 @@ import numpy as np
 
 from .data import Dataset, FusionMode, fuse_inputs, iter_batches
 from .graph import GeneratorSpec, generate
-from .network import CyclicNet, build_network, predict, train_iteration
+from .network import (MAX_T, CyclicNet, build_network, predict,
+                      train_iteration)
 from .numerics import AdamState, adam_step, make_rng, relu, softmax_xent
 
 
@@ -43,6 +43,8 @@ class TrainConfig:
         for name in ("d_out", "T", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.T > MAX_T:
+            raise ValueError(f"T is {self.T}, need T <= {MAX_T}")
         if self.baseline not in ("none", "bp-chain"):
             raise ValueError(f"unknown baseline {self.baseline!r}")
         self.generator.validate()
@@ -88,19 +90,25 @@ def evaluate(model, d: Dataset) -> float:
     return 100.0 * float(np.mean(preds != d.labels))
 
 
-def _fit(cfg: TrainConfig, model, train: Dataset, val: Dataset, batch_step):
+def _fit(cfg: TrainConfig, model, train: Dataset, val: Dataset, batch_step,
+         weights: list[np.ndarray]):
     """Train until max_epochs or `patience` consecutive epochs without a new
-    best validation error; returns the best-validation snapshot and the
-    metrics. With an empty validation set the training error is monitored
-    instead. `batch_step(feats, labels)` updates `model` in place and
-    returns the batch's (neuron_loss, readout_loss)."""
+    best validation error; returns `model`, holding the best-validation
+    weights, and the metrics. With an empty validation set the training
+    error is monitored instead. `batch_step(feats, labels)` updates `model`
+    in place and returns the batch's (neuron_loss, readout_loss).
+
+    `weights` are the arrays that `predict` and checkpoints read. Only they
+    are kept for the best epoch and written back at the end; the rest of
+    the model, such as the Adam moments, is the last epoch's."""
     if val.n_samples and (val.dim != train.dim
                           or val.n_classes != train.n_classes):
         raise ValueError("train/val dataset mismatch")
     shuffle_rng = make_rng(cfg.seed, "data-shuffle")
 
     metrics = Metrics()
-    best, best_err = None, np.inf
+    best = [np.empty_like(w) for w in weights]
+    best_err, best_epoch = np.inf, 0
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -121,15 +129,19 @@ def _fit(cfg: TrainConfig, model, train: Dataset, val: Dataset, batch_step):
             seconds=time.perf_counter() - t0))
 
         if val_err < best_err:
-            best_err = val_err
-            best = copy.deepcopy(model)
+            best_err, best_epoch = val_err, epoch
+            for b, w in zip(best, weights):
+                np.copyto(b, w)
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
 
-    return best, metrics
+    if best_epoch != epoch:
+        for b, w in zip(best, weights):
+            np.copyto(w, b)
+    return model, metrics
 
 
 def train_loop(cfg: TrainConfig, train: Dataset,
@@ -153,12 +165,18 @@ def train_loop(cfg: TrainConfig, train: Dataset,
             freeze_readout=cfg.freeze_readout)
         return per_neuron.mean(), r_loss
 
-    return _fit(cfg, net, train, val, batch_step)
+    return _fit(cfg, net, train, val, batch_step,
+                [p.W for p in net.neurons] + [net.readout_W])
 
 
 class BPChainMLP:
     """Four hidden ReLU layers of uniform width plus a softmax head, trained
-    end-to-end with hand-derived backpropagation on raw features."""
+    end-to-end with hand-derived backpropagation on raw features.
+
+    Every weight and bias is a view of one flat vector, `params`, laid out
+    layer by layer as (W, b); one Adam state covers it, so a batch makes a
+    single Adam step. Gradients use the same layout.
+    """
 
     N_HIDDEN = 4
 
@@ -166,15 +184,25 @@ class BPChainMLP:
                  rng: np.random.Generator, lr: float = 1e-3,
                  weight_decay: float = 0.0):
         sizes = [dim] + [width] * self.N_HIDDEN + [n_classes]
-        self.weights, self.biases = [], []
-        for d_in, d_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(d_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(d_out, d_in)))
-            self.biases.append(np.zeros(d_out))
-        self.w_adam = [AdamState.for_param(w, lr=lr, weight_decay=weight_decay)
-                       for w in self.weights]
-        self.b_adam = [AdamState.for_param(b, lr=lr, weight_decay=weight_decay)
-                       for b in self.biases]
+        self._shapes = list(zip(sizes[1:], sizes[:-1]))   # (d_out, d_in)
+        self.params = np.zeros(sum(o * (i + 1) for o, i in self._shapes))
+        self.weights, self.biases = self._layers(self.params)
+        for w in self.weights:
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        self.adam = AdamState.for_param(self.params, lr=lr,
+                                        weight_decay=weight_decay)
+
+    def _layers(self, flat: np.ndarray):
+        """(weights, biases): per-layer views of a flat `params`-sized
+        vector."""
+        weights, biases, start = [], [], 0
+        for d_out, d_in in self._shapes:
+            stop = start + d_out * d_in
+            weights.append(flat[start:stop].reshape(d_out, d_in))
+            biases.append(flat[stop:stop + d_out])
+            start = stop + d_out
+        return weights, biases
 
     def _forward(self, x: np.ndarray):
         acts = [x]
@@ -183,25 +211,28 @@ class BPChainMLP:
         logits = acts[-1] @ self.weights[-1].T + self.biases[-1]
         return acts, logits
 
-    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
+    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray,
+                       out: np.ndarray | None = None):
+        """(loss, weight gradients, bias gradients). The gradients are views
+        of one flat vector laid out like `params`: `out` when given, else a
+        fresh one, so an earlier call's gradients are never overwritten."""
         labels = np.asarray(labels, dtype=np.int64)
         acts, logits = self._forward(x)
         _, loss, delta = softmax_xent(logits, labels)
         delta /= len(labels)
-        w_grads = [None] * len(self.weights)
-        b_grads = [None] * len(self.biases)
+        grad = np.empty_like(self.params) if out is None else out
+        w_grads, b_grads = self._layers(grad)
         for l in reversed(range(len(self.weights))):
-            w_grads[l] = delta.T @ acts[l]
-            b_grads[l] = delta.sum(axis=0)
+            np.matmul(delta.T, acts[l], out=w_grads[l])
+            np.add.reduce(delta, axis=0, out=b_grads[l])
             if l > 0:
                 delta = (delta @ self.weights[l]) * (acts[l] > 0)
         return loss, w_grads, b_grads
 
-    def step(self, w_grads, b_grads):
-        for param, grad, state in zip(self.weights + self.biases,
-                                      w_grads + b_grads,
-                                      self.w_adam + self.b_adam):
-            adam_step(param, grad, state)
+    def step(self, grad: np.ndarray) -> None:
+        """One Adam step on `params` with a flat gradient laid out like it,
+        such as the `out` vector of `loss_and_grads`."""
+        adam_step(self.params, grad, self.adam)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         _, logits = self._forward(np.asarray(features, dtype=np.float64))
@@ -216,13 +247,14 @@ def bp_chain_baseline(cfg: TrainConfig, train: Dataset,
     model = BPChainMLP(train.dim, cfg.d_out, train.n_classes,
                        make_rng(cfg.seed, "weights"),
                        lr=cfg.lr, weight_decay=cfg.weight_decay)
+    grad = np.empty_like(model.params)
 
     def batch_step(feats, labels):
-        loss, wg, bg = model.loss_and_grads(feats, labels)
-        model.step(wg, bg)
+        loss, _, _ = model.loss_and_grads(feats, labels, out=grad)
+        model.step(grad)
         return 0.0, loss
 
-    return _fit(cfg, model, train, val, batch_step)
+    return _fit(cfg, model, train, val, batch_step, [model.params])
 
 
 def run_config(cfg: TrainConfig, train: Dataset, val: Dataset,

@@ -13,9 +13,10 @@ from cyclicff import cli
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
                           effective_config, main, parse_config_file,
                           to_train_config)
-from cyclicff.data import save_embeddings, synth_blobs
+from cyclicff.data import load_mnist_idx, save_embeddings, synth_blobs
 from cyclicff.graph import GeneratorSpec, generate
-from cyclicff.network import build_network, load_checkpoint, save_checkpoint
+from cyclicff.network import (MAX_T, build_network, load_checkpoint,
+                              save_checkpoint)
 from cyclicff.numerics import make_rng
 
 
@@ -193,8 +194,7 @@ class TestTrainCommand:
     def test_one_class_embeddings_exit_2(self, tmp_path, capsys,
                                          no_training):
         emb = tmp_path / "emb.cnne"
-        assert run_cli(["export-embeddings-template", "--out", str(emb),
-                        "--classes", "1"]) == 0
+        save_embeddings(synth_blobs(4, 3, 1, 1.0, make_rng(0, 0)), emb)
         rc = run_cli(["train", "--set", "dataset=embeddings",
                       "--set", f"embeddings_train={emb}",
                       "--set", f"embeddings_test={emb}",
@@ -229,7 +229,18 @@ class TestTrainCommand:
                       "--set", f"embeddings_train={train_file}",
                       "--set", f"embeddings_test={emb}"])
         assert rc == 2
-        assert "Is a directory" in capsys.readouterr().err
+        message = ("embeddings_train is not set" if not train_file
+                   else "Is a directory")
+        assert message in capsys.readouterr().err
+
+    def test_t_above_max_exit_2(self, cfg_path, tmp_path, capsys,
+                                no_training):
+        rc = run_cli(["train", "--config", cfg_path,
+                      "--set", f"T={MAX_T + 1}",
+                      "--set", f"out_dir={tmp_path / 'out'}"])
+        assert rc == 2
+        assert f"T is {MAX_T + 1}, need T <= {MAX_T}" in (
+            capsys.readouterr().err)
 
     def test_value_error_while_training_exit_1(self, cfg_path, tmp_path,
                                                monkeypatch):
@@ -360,8 +371,9 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("offset,value,message", [
         (8, 0, "checkpoint: T is 0"),
+        (8, MAX_T + 1, f"checkpoint: T is {MAX_T + 1}, need T <= {MAX_T}"),
         (20, 7, "checkpoint: fusion flag is 7"),
-    ], ids=["T", "fusion"])
+    ], ids=["T", "T-above-max", "fusion"])
     def test_bad_header_field_exit_2(self, cfg_path, tmp_path, capsys,
                                      offset, value, message):
         out_dir = tmp_path / "out"
@@ -570,11 +582,13 @@ class TestExportTemplate:
         assert d.dim == 16 and d.n_classes == 2
 
     @pytest.mark.parametrize("args,message", [
-        (["--classes", "0"], "--classes must be >= 1"),
+        (["--classes", "0"], "--classes must be >= 2"),
+        (["--classes", "1"], "--classes must be >= 2"),
         (["--dim", "0"], "--dim 0 < --classes 2"),
         (["--classes", "20", "--dim", "4"], "--dim 4 < --classes 20"),
         (["--samples", "0"], "--samples 0 < --classes 2"),
-    ], ids=["classes-0", "dim-0", "dim-below-classes", "samples-0"])
+    ], ids=["classes-0", "classes-1", "dim-0", "dim-below-classes",
+            "samples-0"])
     def test_bad_arguments_exit_2(self, tmp_path, capsys, args, message):
         out = tmp_path / "template.cnne"
         rc = run_cli(["export-embeddings-template", "--out", str(out)]
@@ -585,6 +599,25 @@ class TestExportTemplate:
 
 
 class TestMnistConfig:
+    def test_split_shares_the_loaded_arrays(self, tmp_path):
+        # Train and val are basic slices of one loaded dataset, not copies.
+        n = cli.MNIST_TRAIN_ROWS + 1
+        rng = make_rng(2, 0)
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        write_idx_images(ip, rng.integers(0, 256, (n, 1, 1), dtype=np.uint8))
+        write_idx_labels(lp, rng.integers(0, 10, n))
+        cfg = effective_config(None, [
+            "dataset=mnist", f"mnist_images={ip}", f"mnist_labels={lp}",
+            f"mnist_test_images={ip}", f"mnist_test_labels={lp}"])
+        train, val, _ = cli.load_datasets(cfg)
+        full = load_mnist_idx(ip, lp)
+        assert (train.n_samples, val.n_samples) == (n - 1, 1)
+        for name in ("features", "labels"):
+            a, b = getattr(train, name), getattr(val, name)
+            assert a.base is not None and a.base is b.base
+            np.testing.assert_array_equal(np.concatenate([a, b]),
+                                          getattr(full, name))
+
     def test_fixed_split_from_idx_files(self, tmp_path, capsys):
         # Small synthetic IDX files standing in for the real layout check is
         # covered by data tests; here we check the failure contract only.

@@ -11,7 +11,7 @@ from conftest import OVERSIZED_CHECKPOINT, central_diff, rel_err
 from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate
 import cyclicff.network as network_module
-from cyclicff.network import (CyclicNet, _block_rows, build_network,
+from cyclicff.network import (MAX_T, CyclicNet, _block_rows, build_network,
                               forward_round, load_checkpoint,
                               predict, propagate_step,
                               readout_forward_loss_grad, save_checkpoint,
@@ -96,6 +96,8 @@ class TestBuildNetwork:
             build_network(topo, 4, 0, 2, 1.0, 1, make_rng(0, 0))
         with pytest.raises(ValueError):
             build_network(topo, 4, 3, 2, 1.0, 0, make_rng(0, 0))
+        with pytest.raises(ValueError):
+            build_network(topo, 4, 3, 2, 1.0, MAX_T + 1, make_rng(0, 0))
 
     @given(st.sampled_from(["chain", "cycle", "complete", "ws", "ba"]),
            st.integers(4, 8), st.integers(0, 3))
@@ -453,8 +455,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("offset,value,message", [
         (4, 3, "unsupported version 3"),
         (8, 0, "T is 0, need T >= 1"),
+        (8, MAX_T + 1, f"T is {MAX_T + 1}, need T <= {MAX_T}"),
         (20, 7, "fusion flag is 7, need 0 or 1"),
-    ], ids=["version", "T", "fusion"])
+    ], ids=["version", "T", "T-above-max", "fusion"])
     def test_bad_header_field(self, tmp_path, offset, value, message):
         path = tmp_path / "net.ckpt"
         save_checkpoint(small_net("cycle", 2), path)
@@ -539,9 +542,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_every_bit_flip_rejected_or_round_trips(self, tmp_path):
-        # A flipped bit is either a ValueError or a finite net that saves
-        # and loads back to the same values. The loaded nets are not run: a
-        # flip in T can ask for billions of rounds.
+        # A flipped bit is either a ValueError or a finite net with at most
+        # MAX_T rounds that saves and loads back to the same values.
         net = small_net("ws", 4, base_dim=4, d_out=2, n_classes=2, seed=7)
         train_iteration(net, fused_batch(net, seed=7))
         path, again = tmp_path / "net.ckpt", tmp_path / "again.ckpt"
@@ -566,6 +568,7 @@ class TestCheckpoint:
             assert all(np.isfinite(p.W).all() and np.isfinite(p.theta)
                        for p in loaded.neurons), bit
             assert np.isfinite(loaded.readout_W).all(), bit
+            assert 1 <= loaded.T <= MAX_T, bit
             save_checkpoint(loaded, again)
             assert values(load_checkpoint(again)) == values(loaded), bit
         assert 0 < rejected < 8 * len(good)

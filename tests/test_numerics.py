@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cyclicff.numerics import (AdamState, adam_step, l2_normalize_rows,
-                               make_rng, sigmoid, softmax_stable)
+from cyclicff.numerics import (ADAM_BLOCK, AdamState, adam_step,
+                               l2_normalize_rows, make_rng, sigmoid,
+                               softmax_stable)
 
 finite_vectors = arrays(np.float64, st.integers(1, 12),
                         elements=st.floats(-1e6, 1e6, allow_nan=False))
@@ -216,6 +217,48 @@ class TestAdam:
         state = AdamState.for_param(p)
         with pytest.raises(ValueError):
             adam_step(p, np.array([np.inf, 0.0]), state)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("size", [1, ADAM_BLOCK - 1, ADAM_BLOCK,
+                                      ADAM_BLOCK + 1, 3 * ADAM_BLOCK + 5])
+    def test_blocked_update_bitwise_textbook(self, size, weight_decay):
+        # The textbook formula over the whole vector at once, against the
+        # update that runs over blocks, on either side of a block boundary.
+        rng = make_rng(10, 0)
+        p = rng.standard_normal(size)
+        state = AdamState.for_param(p, lr=0.01, weight_decay=weight_decay)
+        q, m, v = p.copy(), np.zeros(size), np.zeros(size)
+        for t in range(1, 4):
+            g = rng.standard_normal(size)
+            adam_step(p, g, state)
+            g = g + weight_decay * q if weight_decay else g
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            q = q - state.lr * (m / (1.0 - 0.9 ** t)) / (
+                np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            np.testing.assert_array_equal(p, q)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+
+    def test_nonfinite_grad_in_a_later_block_changes_nothing(self):
+        p = np.ones(2 * ADAM_BLOCK + 3)
+        state = AdamState.for_param(p)
+        g = np.ones_like(p)
+        g[-1] = np.nan
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            adam_step(p, g, state)
+        assert state.t == 0 and (p == 1.0).all()
+        assert not state.m.any() and not state.v.any()
+
+    @pytest.mark.parametrize("which", ["params", "m", "v"])
+    def test_non_contiguous_rejected(self, which):
+        # A strided view would be reshaped into a copy, losing the update.
+        arrays = {k: np.zeros((4, 3)) for k in ("params", "m", "v")}
+        arrays[which] = np.zeros((4, 6))[:, ::2]
+        state = AdamState(m=arrays["m"], v=arrays["v"])
+        with pytest.raises(ValueError, match="contiguous"):
+            adam_step(arrays["params"], np.ones((4, 3)), state)
+        assert state.t == 0
 
 
 class TestRng:

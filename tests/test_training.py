@@ -9,7 +9,7 @@ from cyclicff.data import split, synth_blobs
 from cyclicff.graph import GeneratorSpec
 from cyclicff.network import predict
 from cyclicff.numerics import make_rng
-from cyclicff.training import (BPChainMLP, Metrics, TrainConfig,
+from cyclicff.training import (BPChainMLP, Metrics, TrainConfig, _fit,
                                bp_chain_baseline, evaluate, run_config,
                                train_loop)
 
@@ -172,8 +172,9 @@ class TestBPChainBaseline:
         before = [w.copy() for w in model.weights]
         x = rng.standard_normal((5, 4))
         labels = rng.integers(0, 2, size=5)
-        loss, wg, bg = model.loss_and_grads(x, labels)
-        model.step(wg, bg)
+        grad = np.empty_like(model.params)
+        model.loss_and_grads(x, labels, out=grad)
+        model.step(grad)
         for b, w in zip(before, model.weights):
             np.testing.assert_array_equal(b, w)
 
@@ -184,11 +185,76 @@ class TestBPChainBaseline:
         params = model.weights + model.biases
         before = [a.copy() for a in params]
         x = rng.standard_normal((16, 4))
-        _, wg, bg = model.loss_and_grads(x, rng.integers(0, 2, size=16))
-        model.step(wg, bg)
+        grad = np.empty_like(model.params)
+        model.loss_and_grads(x, rng.integers(0, 2, size=16), out=grad)
+        model.step(grad)
         for a, b, old in zip(model.weights + model.biases, params, before):
             assert a is b
             assert not np.array_equal(a, old)
+
+    def test_every_weight_and_bias_is_a_view_of_params(self):
+        model = BPChainMLP(dim=5, width=3, n_classes=2, rng=make_rng(2, 0))
+        arrays = model.weights + model.biases
+        assert sum(a.size for a in arrays) == model.params.size
+        for a in arrays:
+            assert a.base is model.params
+        # Together they tile `params`: each element belongs to one of them.
+        model.params[...] = np.arange(model.params.size)
+        values = np.concatenate([a.ravel() for a in arrays])
+        np.testing.assert_array_equal(np.sort(values),
+                                      np.arange(model.params.size))
+
+    def test_gradients_of_two_calls_do_not_alias(self):
+        rng = make_rng(3, 0)
+        model = BPChainMLP(dim=4, width=5, n_classes=3, rng=rng)
+        x1, x2 = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+        labels = rng.integers(0, 3, size=6)
+        _, w1, b1 = model.loss_and_grads(x1, labels)
+        saved = [a.copy() for a in w1 + b1]
+        _, w2, b2 = model.loss_and_grads(x2, labels)
+        for a, b, s in zip(w1 + b1, w2 + b2, saved):
+            assert not np.shares_memory(a, b)
+            np.testing.assert_array_equal(a, s)
+        # With `out`, the gradients are views of it, laid out like params.
+        out = np.empty_like(model.params)
+        _, w3, b3 = model.loss_and_grads(x2, labels, out=out)
+        for a, b in zip(w3 + b3, w2 + b2):
+            assert a.base is out
+            np.testing.assert_array_equal(a, b)
+
+    def test_fit_returns_best_epoch_weights(self):
+        # Epoch 1 trains; epoch 2 zeroes the head and biases it to class 1,
+        # a worse model. The result holds epoch 1's weights, written back
+        # into the same arrays.
+        train, val, _ = make_data(n_per_class=200)
+        cfg = quick_cfg(max_epochs=2, patience=5, batch_size=80)
+        model = BPChainMLP(train.dim, 8, train.n_classes,
+                           make_rng(0, "weights"), lr=0.01)
+        params, head = model.params, model.weights[-1]
+        batches = len(range(0, train.n_samples, cfg.batch_size))
+        grad = np.empty_like(params)
+        calls, snapshot = [], []
+
+        def batch_step(feats, labels):
+            calls.append(1)
+            if len(calls) <= batches:
+                model.loss_and_grads(feats, labels, out=grad)
+                model.step(grad)
+            else:
+                if not snapshot:
+                    snapshot.append(params.copy())
+                model.weights[-1][...] = 0.0
+                model.biases[-1][...] = [0.0, 1.0]
+            return 0.0, 0.0
+
+        fitted, metrics = _fit(cfg, model, train, val, batch_step, [params])
+        assert len(metrics.records) == 2
+        first, second = (r.val_err for r in metrics.records)
+        assert second > first
+        assert fitted is model and model.params is params
+        assert model.weights[-1] is head and head.base is params
+        np.testing.assert_array_equal(params, snapshot[0])
+        assert evaluate(model, val) == first
 
     def test_run_config_dispatch(self):
         train, val, test = make_data()
