@@ -25,7 +25,7 @@ from .data import (Dataset, FusionMode, load_embeddings, load_mnist_idx,
                    save_embeddings, split, synth_blobs)
 from .graph import GeneratorSpec, generate, has_cycle, predecessors, to_edge_list
 from .network import load_checkpoint, save_checkpoint
-from .numerics import make_rng
+from .numerics import check_seed, make_rng
 from .training import TrainConfig, evaluate, run_config
 
 
@@ -113,32 +113,45 @@ def effective_config(config_path: str | None, sets: list[str]) -> dict[str, str]
     return apply_overrides(cfg, sets)
 
 
-def _bool(s: str) -> bool:
+def _parse(cfg: dict[str, str], key: str, kind):
+    """`kind(value)` of the key; a value `kind` rejects is a ConfigError
+    that names the key."""
+    try:
+        return kind(cfg[key])
+    except ValueError:
+        raise ConfigError(
+            f"{key}: expected {kind.__name__}, got {cfg[key]!r}") from None
+
+
+def boolean(s: str) -> bool:
     if s.lower() in ("1", "true", "yes", "on"):
         return True
     if s.lower() in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
+    raise ValueError(s)
+
+
+# Typed keys by the object that takes them; `seed` serves both.
+GENERATOR_KEYS = {"n": int, "ws_k": int, "ws_p": float, "ba_m": int}
+TRAIN_KEYS = {"d_out": int, "T": int, "theta": float, "lr": float,
+              "weight_decay": float, "batch_size": int, "max_epochs": int,
+              "patience": int, "seed": int, "freeze_neurons": boolean,
+              "freeze_readout": boolean}
 
 
 def to_train_config(cfg: dict[str, str]) -> TrainConfig:
+    def parsed(kinds):
+        return {key: _parse(cfg, key, kind) for key, kind in kinds.items()}
+
+    train = parsed(TRAIN_KEYS)
     try:
-        gen = GeneratorSpec(kind=cfg["graph"], n=int(cfg["n"]),
-                            ws_k=int(cfg["ws_k"]), ws_p=float(cfg["ws_p"]),
-                            ba_m=int(cfg["ba_m"]), seed=int(cfg["seed"]))
-        tc = TrainConfig(
-            generator=gen, d_out=int(cfg["d_out"]), T=int(cfg["T"]),
-            theta=float(cfg["theta"]), lr=float(cfg["lr"]),
-            weight_decay=float(cfg["weight_decay"]),
-            batch_size=int(cfg["batch_size"]),
-            max_epochs=int(cfg["max_epochs"]), patience=int(cfg["patience"]),
-            seed=int(cfg["seed"]),
-            freeze_neurons=_bool(cfg["freeze_neurons"]),
-            freeze_readout=_bool(cfg["freeze_readout"]),
-            fusion=FusionMode(cfg["fusion"]), baseline=cfg["baseline"])
+        gen = GeneratorSpec(kind=cfg["graph"], seed=train["seed"],
+                            **parsed(GENERATOR_KEYS))
+        tc = TrainConfig(generator=gen, fusion=FusionMode(cfg["fusion"]),
+                         baseline=cfg["baseline"], **train)
         tc.validate()
         return tc
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
@@ -154,14 +167,6 @@ def _data_path(cfg: dict[str, str], key: str) -> str:
     return os.path.join(root, value)
 
 
-def _parse(cfg: dict[str, str], key: str, kind: type):
-    try:
-        return kind(cfg[key])
-    except ValueError:
-        raise ConfigError(
-            f"{key}: expected {kind.__name__}, got {cfg[key]!r}") from None
-
-
 def _data_settings(cfg: dict[str, str]) -> dict:
     """Parse and range-check the data keys the config's dataset uses, so a
     bad value is a config error before any run trains."""
@@ -169,6 +174,10 @@ def _data_settings(cfg: dict[str, str]) -> dict:
     if kind not in ("mnist", "embeddings", "synth"):
         raise ConfigError(f"unknown dataset {kind!r}")
     s = {"seed": _parse(cfg, "seed", int)}
+    try:
+        check_seed(s["seed"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if kind == "mnist":
         return s
     s["val_fraction"] = _parse(cfg, "val_fraction", float)
@@ -237,6 +246,10 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
         full = synth_blobs(s["n"], s["dim"], s["classes"], s["sep"],
                            make_rng(seed, 100))
     train, val = split(full, s["val_fraction"], make_rng(seed, "data-shuffle"))
+    if not train.n_samples:
+        raise ConfigError(
+            f"val_fraction {s['val_fraction']} leaves no training rows: "
+            f"{full.n_samples} rows, {val.n_samples} to validation")
     return train, val, load_test_set(cfg)
 
 
@@ -340,6 +353,8 @@ def _one_sweep_run(cfg: dict[str, str]) -> float:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs is {args.jobs}, need at least 1")
     base = effective_config(args.config, None)
     axes = []
     for item in args.set or []:

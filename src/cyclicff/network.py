@@ -168,9 +168,9 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
                     freeze_readout: bool = False):
     """One batch of Algorithm-style local training.
 
-    T rounds of: propagate all streams with current weights, compute each
-    neuron's loss/gradient from this round's pos/neg inputs, then step. The
-    outputs cached for the next round are the pre-update forward results.
+    T rounds of: propagate the neutral stream, then for each neuron build
+    its input from last round's stacked [pos; neg] outputs, take its FF
+    loss and gradient, and step it at once: only that neuron reads its W.
     Neurons never see the neutral stream; the readout sees only it.
     Updates `net` in place; returns (per-neuron mean FF loss, readout loss).
     """
@@ -178,32 +178,29 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
         raise ValueError(
             f"train_iteration: fused dim {fused.h_pos.shape[1]} != "
             f"base_dim {net.base_dim}")
-    n = net.topology.n_neurons
-    pos = neg = neu = None
-    loss_sums = np.zeros(n)
+    batch = len(fused.h_pos)
+    h_ff = np.concatenate([fused.h_pos, fused.h_neg])
+    ff = neu = None
+    loss_sums = np.zeros(net.topology.n_neurons)
 
     for _ in range(net.T):
         neu = forward_round(net, fused.h_neu, neu)
-        new_pos, new_neg, grads = [], [], []
-        for j in range(n):
-            p, h_in_pos = _round_input(net, j, fused.h_pos, pos)
-            _, h_in_neg = _round_input(net, j, fused.h_neg, neg)
-            loss, grad, h_pos, h_neg = ff_loss_grad_outputs(
-                p, h_in_pos, h_in_neg)
+        new_ff = []
+        for j, adam in enumerate(net.neuron_adam):
+            p, h_in = _round_input(net, j, h_ff, ff)
+            loss, grad, h = ff_loss_grad_outputs(p, h_in[:batch],
+                                                 h_in[batch:])
+            W = net.neurons[j].W
             # In the zero state the predecessor columns' gradient is zero.
-            if p.d_in != net.neurons[j].d_in:
-                full = np.zeros_like(net.neurons[j].W)
+            if p.d_in != W.shape[1]:
+                full = np.zeros_like(W)
                 full[:, :p.d_in] = grad
                 grad = full
-            new_pos.append(h_pos)
-            new_neg.append(h_neg)
-            grads.append(grad)
+            new_ff.append(h)
             loss_sums[j] += loss
-        # All forwards done with pre-update weights; only now step.
-        if not freeze_neurons:
-            for p, g, s in zip(net.neurons, grads, net.neuron_adam):
-                adam_step(p.W, g, s)
-        pos, neg = new_pos, new_neg
+            if not freeze_neurons:
+                adam_step(W, grad, adam)
+        ff = new_ff
 
     _, readout_loss, readout_grad = readout_forward_loss_grad(
         net, neu, fused.true_labels)

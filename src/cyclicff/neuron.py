@@ -72,13 +72,12 @@ def goodness(h: np.ndarray, theta: float) -> np.ndarray:
 
 def ff_loss_and_grad(p: NeuronParams, h_in_pos: np.ndarray,
                      h_in_neg: np.ndarray) -> tuple[float, np.ndarray]:
-    loss, grad, _, _ = ff_loss_grad_outputs(p, h_in_pos, h_in_neg)
-    return loss, grad
+    return ff_loss_grad_outputs(p, h_in_pos, h_in_neg)[:2]
 
 
 def ff_loss_grad_outputs(p: NeuronParams, h_in_pos: np.ndarray,
                          h_in_neg: np.ndarray):
-    """Loss, gradient w.r.t. W, and both output batches in one pass.
+    """Loss, gradient w.r.t. W, and the stacked batch's outputs in one pass.
 
     The loss is one logistic classification of the stacked batch, positive
     rows first, by goodness: -sum(log q) / B, where q is p on positive rows
@@ -87,6 +86,8 @@ def ff_loss_grad_outputs(p: NeuronParams, h_in_pos: np.ndarray,
     if h_in_pos.shape[0] != h_in_neg.shape[0]:
         raise ValueError("ff_loss: pos/neg batch size mismatch")
     batch = h_in_pos.shape[0]
+    # The benchmark's flop counter reads the two halves, so this copy stays
+    # until benchmark v2; ROADMAP item 2 then passes the stacked input whole.
     h_in = np.concatenate([h_in_pos, h_in_neg])
     y = np.arange(2 * batch) < batch
 
@@ -99,4 +100,4 @@ def ff_loss_grad_outputs(p: NeuronParams, h_in_pos: np.ndarray,
     # already zero wherever the ReLU blocks the gradient.
     dz = ((prob - y) / batch)[:, None] * 2.0 * h
     grad = l2_normalize_rows(dz, h_in).T @ h_in
-    return float(loss), grad, h[:batch], h[batch:]
+    return float(loss), grad, h

@@ -34,8 +34,15 @@ STREAMS = {
 }
 
 
+def check_seed(seed: int) -> None:
+    """A seed is one Philox key word: an integer in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+
+
 def make_rng(seed: int, stream: int | str = 0) -> np.random.Generator:
     """Independent, platform-stable generator for (seed, stream)."""
+    check_seed(seed)
     if isinstance(stream, str):
         stream = STREAMS[stream]
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)

@@ -12,7 +12,8 @@ from .data import Dataset, FusionMode, fuse_inputs, iter_batches
 from .graph import GeneratorSpec, generate
 from .network import (MAX_T, CyclicNet, build_network, predict,
                       train_iteration)
-from .numerics import AdamState, adam_step, make_rng, relu, softmax_xent
+from .numerics import (AdamState, adam_step, check_seed, make_rng, relu,
+                       softmax_xent)
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,7 @@ class TrainConfig:
             raise ValueError(f"T is {self.T}, need T <= {MAX_T}")
         if self.baseline not in ("none", "bp-chain"):
             raise ValueError(f"unknown baseline {self.baseline!r}")
+        check_seed(self.seed)
         self.generator.validate()
 
 
@@ -231,7 +233,13 @@ class BPChainMLP:
 
     def step(self, grad: np.ndarray) -> None:
         """One Adam step on `params` with a flat gradient laid out like it,
-        such as the `out` vector of `loss_and_grads`."""
+        such as the `out` vector of `loss_and_grads`. A layer rebound to an
+        array that is not a view of `params` would not move with it, so
+        that is a ValueError."""
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.base is not self.params or b.base is not self.params:
+                raise ValueError(
+                    f"BPChainMLP.step: layer {l} is not a view of params")
         adam_step(self.params, grad, self.adam)
 
     def predict(self, features: np.ndarray) -> np.ndarray:

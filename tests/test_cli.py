@@ -78,6 +78,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             to_train_config(cfg)
 
+    @pytest.mark.parametrize("key", ["d_out", "lr", "ws_p",
+                                     "freeze_neurons"])
+    def test_bad_typed_value_names_key_exit_2(self, cfg_path, tmp_path,
+                                              capsys, no_training, key):
+        rc = run_cli(["train", "--config", cfg_path, "--set", f"{key}=abc",
+                      "--set", f"out_dir={tmp_path / 'out'}"])
+        assert rc == 2
+        assert f"{key}: expected " in capsys.readouterr().err
+
     def test_hash_ignores_seed(self, cfg_path):
         a = effective_config(cfg_path, ["seed=1"])
         b = effective_config(cfg_path, ["seed=2"])
@@ -241,6 +250,29 @@ class TestTrainCommand:
         assert rc == 2
         assert f"T is {MAX_T + 1}, need T <= {MAX_T}" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_exit_2(self, cfg_path, tmp_path, capsys,
+                                      no_training, seed):
+        rc = run_cli(["train", "--config", cfg_path, "--set", f"seed={seed}",
+                      "--set", f"out_dir={tmp_path / 'out'}"])
+        assert rc == 2
+        assert f"seed {seed} is outside [0, 2**64)" in capsys.readouterr().err
+
+    def test_empty_training_split_exit_2(self, cfg_path, tmp_path, capsys,
+                                         monkeypatch):
+        # 2 rows, both to validation: nothing is built or trained.
+        calls = []
+        monkeypatch.setattr(cli, "run_config",
+                            lambda *a, **kw: calls.append(1))
+        rc = run_cli(["train", "--config", cfg_path,
+                      "--set", "synth_n_per_class=1",
+                      "--set", "val_fraction=0.9",
+                      "--set", f"out_dir={tmp_path / 'out'}"])
+        assert rc == 2
+        assert calls == []
+        assert ("val_fraction 0.9 leaves no training rows: 2 rows, 2 to "
+                "validation") in capsys.readouterr().err
 
     def test_value_error_while_training_exit_1(self, cfg_path, tmp_path,
                                                monkeypatch):
@@ -511,6 +543,17 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "run_config", counting)
         assert run_cli(["sweep", "--config", cfg_path] + args) == 2
         assert calls == []
+
+    @pytest.mark.parametrize("args,message", [
+        (["--seeds=-1..1"], "seed -1 is outside [0, 2**64)"),
+        (["--seeds", "1", "--jobs", "0"], "--jobs is 0, need at least 1"),
+        (["--seeds", "1", "--jobs", "-2"], "--jobs is -2, need at least 1"),
+    ], ids=["negative-seed", "jobs-0", "jobs-negative"])
+    def test_out_of_range_exit_2(self, cfg_path, capsys, no_training, args,
+                                 message):
+        assert run_cli(["sweep", "--config", cfg_path,
+                        "--set", "T=1,2"] + args) == 2
+        assert message in capsys.readouterr().err
 
     def test_single_run_matches_train(self, sweep_cfg, capsys):
         assert run_cli(["train", "--config", sweep_cfg, "--seed", "3"]) == 0

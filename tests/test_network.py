@@ -11,8 +11,8 @@ from conftest import OVERSIZED_CHECKPOINT, central_diff, rel_err
 from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate
 import cyclicff.network as network_module
-from cyclicff.network import (MAX_T, CyclicNet, _block_rows, build_network,
-                              forward_round, load_checkpoint,
+from cyclicff.network import (MAX_T, CyclicNet, _block_rows, _round_input,
+                              build_network, forward_round, load_checkpoint,
                               predict, propagate_step,
                               readout_forward_loss_grad, save_checkpoint,
                               train_iteration, zero_state)
@@ -41,26 +41,39 @@ def full_input(fused, outputs, preds):
     return np.hstack([fused] + [outputs[i] for i in preds])
 
 
-def train_iteration_explicit_zeros(net, fused):
-    """Reference `train_iteration`: every stream starts from explicit zero
-    outputs, so every round, the first included, runs each neuron on its
-    full-width input."""
+def train_iteration_explicit_zeros(net, fused, narrow_zero_state=False,
+                                   freeze_neurons=False):
+    """Reference `train_iteration`: separate pos and neg inputs, and every
+    neuron steps only after the round's last forward.
+
+    By default every stream starts from explicit zero outputs, so every
+    round, the first included, runs each neuron on its full-width input.
+    With `narrow_zero_state`, round 1 runs on `_round_input`'s fused-input
+    block of W, as `train_iteration` does, and pads its gradient with zeros.
+    """
     batch = len(fused.true_labels)
-    pos = neg = neu = [np.zeros((batch, p.d_out)) for p in net.neurons]
+    pos = neg = neu = (None if narrow_zero_state else
+                       [np.zeros((batch, p.d_out)) for p in net.neurons])
     loss_sums = np.zeros(len(net.neurons))
     for _ in range(net.T):
         neu = forward_round(net, fused.h_neu, neu)
         new_pos, new_neg, grads = [], [], []
         for j, p in enumerate(net.neurons):
-            loss, grad, h_pos, h_neg = ff_loss_grad_outputs(
-                p, full_input(fused.h_pos, pos, net.preds[j]),
-                full_input(fused.h_neg, neg, net.preds[j]))
-            new_pos.append(h_pos)
-            new_neg.append(h_neg)
-            grads.append(grad)
+            if pos is None:
+                q, h_in_pos = _round_input(net, j, fused.h_pos, None)
+                _, h_in_neg = _round_input(net, j, fused.h_neg, None)
+            else:
+                q = p
+                h_in_pos = full_input(fused.h_pos, pos, net.preds[j])
+                h_in_neg = full_input(fused.h_neg, neg, net.preds[j])
+            loss, grad, h = ff_loss_grad_outputs(q, h_in_pos, h_in_neg)
+            new_pos.append(h[:batch])
+            new_neg.append(h[batch:])
+            grads.append(np.pad(grad, ((0, 0), (0, p.d_in - q.d_in))))
             loss_sums[j] += loss
-        for p, g, s in zip(net.neurons, grads, net.neuron_adam):
-            adam_step(p.W, g, s)
+        if not freeze_neurons:
+            for p, g, s in zip(net.neurons, grads, net.neuron_adam):
+                adam_step(p.W, g, s)
         pos, neg = new_pos, new_neg
     _, readout_loss, readout_grad = readout_forward_loss_grad(
         net, neu, fused.true_labels)
@@ -183,24 +196,48 @@ class TestZeroStateRound:
                              forward_round(net, h_neu, zeros)):
             assert_close_to_largest(got, want)
 
-    @pytest.mark.parametrize("fusion", ["concat", "overlay"])
-    @pytest.mark.parametrize("shape", list(SHAPES))
-    def test_train_iteration_matches_explicit_zeros(self, shape, fusion):
-        # Round 1 of the pos/neg streams runs on the fused-input block of W
-        # and pads its gradient with the zero predecessor columns.
+    def train_both(self, shape, fusion, freeze_neurons=False, **ref_kw):
+        """`train_iteration` and the reference on copies of one net: the
+        two nets, then each side's (per-neuron losses, readout loss)."""
         base_dim, d_out, n = self.SHAPES[shape]
         net = small_net("complete", n, base_dim=base_dim, d_out=d_out,
                         n_classes=4, seed=1, fusion=FusionMode(fusion))
         ref = copy.deepcopy(net)
         fb = fused_batch(net, batch=32, seed=2)
-        losses, readout_loss = train_iteration(net, fb)
-        ref_losses, ref_readout_loss = train_iteration_explicit_zeros(
-            ref, fb)
+        got = train_iteration(net, fb, freeze_neurons=freeze_neurons)
+        want = train_iteration_explicit_zeros(
+            ref, fb, freeze_neurons=freeze_neurons, **ref_kw)
+        return net, ref, got, want
+
+    @pytest.mark.parametrize("fusion", ["concat", "overlay"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_train_iteration_matches_explicit_zeros(self, shape, fusion):
+        # Round 1 of the pos/neg streams runs on the fused-input block of W
+        # and pads its gradient with the zero predecessor columns.
+        net, ref, (losses, readout_loss), (ref_losses, ref_readout_loss) = (
+            self.train_both(shape, fusion))
         for p, q in zip(net.neurons, ref.neurons):
             assert_close_to_largest(p.W, q.W)
         assert_close_to_largest(net.readout_W, ref.readout_W)
         assert_close_to_largest(losses, ref_losses)
         assert_close_to_largest(readout_loss, ref_readout_loss)
+
+    @pytest.mark.parametrize("freeze_neurons", [False, True],
+                             ids=["step", "frozen"])
+    @pytest.mark.parametrize("fusion", ["concat", "overlay"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_train_iteration_matches_narrow_reference(self, shape, fusion,
+                                                      freeze_neurons):
+        # The stacked FF stream and the immediate per-neuron step give the
+        # reference's separate streams and deferred steps bit for bit.
+        net, ref, (losses, readout_loss), (ref_losses, ref_readout_loss) = (
+            self.train_both(shape, fusion, freeze_neurons,
+                            narrow_zero_state=True))
+        for p, q in zip(net.neurons, ref.neurons):
+            np.testing.assert_array_equal(p.W, q.W)
+        np.testing.assert_array_equal(net.readout_W, ref.readout_W)
+        np.testing.assert_array_equal(losses, ref_losses)
+        assert readout_loss == ref_readout_loss
 
     def test_wrong_fused_width(self):
         net = small_net("complete", 3)

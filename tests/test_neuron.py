@@ -79,7 +79,8 @@ class TestNormaliseAfterMatmul:
     def check(self, p, pos, neg):
         (ref_pos, ref_neg), ref_grad, ref_loss = self.reference(p, pos, neg)
         self.assert_close(neuron_forward(p, pos), ref_pos)
-        loss, grad, h_pos, h_neg = ff_loss_grad_outputs(p, pos, neg)
+        loss, grad, h = ff_loss_grad_outputs(p, pos, neg)
+        h_pos, h_neg = h[:len(pos)], h[len(pos):]
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         self.assert_close(h_pos, ref_pos)
         self.assert_close(h_neg, ref_neg)

@@ -272,6 +272,15 @@ class TestRng:
         b = make_rng(42, "data-shuffle").standard_normal(8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+            make_rng(seed)
+
+    def test_seed_range_ends(self):
+        make_rng(0)
+        make_rng(2**64 - 1)
+
 
 def test_sigmoid_matches_reference():
     x = np.linspace(-30, 30, 101)

@@ -204,6 +204,20 @@ class TestBPChainBaseline:
         np.testing.assert_array_equal(np.sort(values),
                                       np.arange(model.params.size))
 
+    @pytest.mark.parametrize("part", ["weights", "biases"])
+    def test_step_rejects_a_rebound_layer(self, part):
+        # A rebound layer is no longer a view of `params`, so a step would
+        # move `params` and the Adam moments but not the array `_forward`
+        # reads.
+        model = BPChainMLP(dim=4, width=3, n_classes=2, rng=make_rng(4, 0))
+        layers = getattr(model, part)
+        layers[2] = layers[2].copy()
+        before = model.params.copy()
+        with pytest.raises(ValueError, match="layer 2 is not a view"):
+            model.step(np.ones_like(model.params))
+        np.testing.assert_array_equal(model.params, before)
+        assert model.adam.t == 0
+
     def test_gradients_of_two_calls_do_not_alias(self):
         rng = make_rng(3, 0)
         model = BPChainMLP(dim=4, width=5, n_classes=3, rng=rng)
@@ -280,6 +294,13 @@ class TestSweep:
         rows = [ln.split(",") for ln in lines[1:]]
         assert [r[0] for r in rows] == ["1", "2"]
         assert all(0.0 <= float(r[1]) <= 100.0 for r in rows)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+            quick_cfg(seed=seed).validate()
 
 
 class TestMetricsCsv:
