@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (Dataset, FusionMode, load_embeddings, load_mnist_idx,
-                   save_embeddings, split, synth_blobs)
+                   save_embeddings, split, synth_blobs, val_rows)
 from .graph import GeneratorSpec, generate, has_cycle, predecessors, to_edge_list
 from .network import load_checkpoint, save_checkpoint
 from .numerics import check_seed, make_rng
@@ -167,6 +167,15 @@ def _data_path(cfg: dict[str, str], key: str) -> str:
     return os.path.join(root, value)
 
 
+def _check_split(n_rows: int, val_fraction: float) -> None:
+    """ConfigError if `split` would send all n_rows rows to validation."""
+    n_val = val_rows(n_rows, val_fraction)
+    if n_val == n_rows:
+        raise ConfigError(
+            f"val_fraction {val_fraction} leaves no training rows: "
+            f"{n_rows} rows, {n_val} to validation")
+
+
 def _data_settings(cfg: dict[str, str]) -> dict:
     """Parse and range-check the data keys the config's dataset uses, so a
     bad value is a config error before any run trains."""
@@ -195,6 +204,7 @@ def _data_settings(cfg: dict[str, str]) -> dict:
             raise ConfigError(f"synth_classes {classes} > synth_dim {dim}")
         if not (np.isfinite(sep) and sep >= 0):
             raise ConfigError("synth_separation must be finite and >= 0")
+        _check_split(n * classes, s["val_fraction"])
         s.update(n=n, dim=dim, classes=classes, sep=sep)
     return s
 
@@ -242,14 +252,11 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
         if full.n_classes < 2:
             raise ConfigError(
                 f"{path}: n_classes is {full.n_classes}, need at least 2")
+        _check_split(full.n_samples, s["val_fraction"])
     else:
         full = synth_blobs(s["n"], s["dim"], s["classes"], s["sep"],
                            make_rng(seed, 100))
     train, val = split(full, s["val_fraction"], make_rng(seed, "data-shuffle"))
-    if not train.n_samples:
-        raise ConfigError(
-            f"val_fraction {s['val_fraction']} leaves no training rows: "
-            f"{full.n_samples} rows, {val.n_samples} to validation")
     return train, val, load_test_set(cfg)
 
 

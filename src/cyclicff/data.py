@@ -22,6 +22,15 @@ EMBEDDING_MAGIC = b"CNNE"
 EMBEDDING_VERSION = 1
 
 
+def check_labels(labels: np.ndarray, n_classes: int, what: str) -> None:
+    """ValueError, named by `what`, unless every label is in
+    [0, n_classes)."""
+    labels = np.asarray(labels)
+    if len(labels) and (int(labels.min()) < 0
+                        or int(labels.max()) >= n_classes):
+        raise ValueError(f"{what}: label out of range")
+
+
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n_samples, dim) float64
@@ -32,9 +41,7 @@ class Dataset:
     def __post_init__(self):
         if len(self.labels) != len(self.features):
             raise ValueError("Dataset: feature/label count mismatch")
-        if len(self.labels) and (int(self.labels.min()) < 0
-                                 or int(self.labels.max()) >= self.n_classes):
-            raise ValueError("Dataset: label out of range")
+        check_labels(self.labels, self.n_classes, "Dataset")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("Dataset: non-finite features")
 
@@ -85,12 +92,16 @@ def fuse_inputs(features: np.ndarray, labels: np.ndarray, n_classes: int,
     """Build the positive / negative / neutral streams for one batch.
 
     Negative labels are drawn uniformly from the n_classes - 1 false labels,
-    fresh on every call.
+    fresh on every call. An empty batch or a label outside [0, n_classes) is
+    a ValueError.
     """
     if n_classes < 2:
         raise ValueError("fuse_inputs: need at least 2 classes")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if not len(labels):
+        raise ValueError("fuse_inputs: empty batch")
+    check_labels(labels, n_classes, "fuse_inputs")
     if mode.mode == "overlay" and features.shape[1] < n_classes:
         raise ValueError("fuse_inputs: overlay needs dim >= n_classes")
 
@@ -234,13 +245,18 @@ def synth_blobs(n_per_class: int, dim: int, n_classes: int,
                    n_classes, name="synth")
 
 
+def val_rows(n_samples: int, val_fraction: float) -> int:
+    """How many of n_samples rows `split` sends to validation."""
+    return int(round(n_samples * val_fraction))
+
+
 def split(d: Dataset, val_fraction: float,
           rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Uniform random train/validation split (disjoint indices)."""
     if not (0.0 <= val_fraction < 1.0):
         raise ValueError("split: val_fraction must be in [0, 1)")
     perm = rng.permutation(d.n_samples)
-    n_val = int(round(d.n_samples * val_fraction))
+    n_val = val_rows(d.n_samples, val_fraction)
     return d.subset(perm[n_val:]), d.subset(perm[:n_val])
 
 

@@ -15,8 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .data import (FusionMode, FusedBatch, neutral_fusion, read_exact,
-                   read_struct)
+from .data import (FusionMode, FusedBatch, check_labels, neutral_fusion,
+                   read_exact, read_struct)
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
                      ff_loss_grad_outputs)
@@ -28,13 +28,10 @@ CHECKPOINT_VERSION = 2
 # same. Version 1 stored float32, so its weights round-trip only to float32.
 CHECKPOINT_WEIGHTS = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
-# `predict` works through its input in row blocks sized so that one
-# neuron's (rows x d_in) float64 input fits in this many bytes, which keeps
-# the per-round temporaries in a core's L2 cache instead of main memory.
-PREDICT_BLOCK_BYTES = 1 << 20
-# Lower bound on the rows of a block. With wide neurons the budget alone
-# gives blocks too short for BLAS to run the matmuls at full speed.
-PREDICT_MIN_BLOCK_ROWS = 256
+# Rows per `predict` block, so its memory does not grow with the dataset.
+# 256 rows measured at or near the fastest block size on narrow and on wide
+# (784-dim) nets alike.
+PREDICT_BLOCK_ROWS = 256
 # Largest number of propagation rounds a net may have. The paper and the
 # defaults use T = 3 and the demos sweep up to 8; the bound keeps a corrupt
 # checkpoint or a typo from running billions of rounds.
@@ -151,9 +148,7 @@ def readout_forward_loss_grad(net: CyclicNet, neu_outputs: list[np.ndarray],
     """Softmax readout over the concatenation of all neurons' neutral
     outputs; returns (y_hat, loss, grad w.r.t. readout_W)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) and (int(labels.min()) < 0
-                        or int(labels.max()) >= net.n_classes):
-        raise ValueError("readout: label out of range")
+    check_labels(labels, net.n_classes, "readout")
     x = np.concatenate(neu_outputs, axis=1)
     if x.shape[1] != net.readout_W.shape[1]:
         raise ValueError(
@@ -173,12 +168,17 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
     loss and gradient, and step it at once: only that neuron reads its W.
     Neurons never see the neutral stream; the readout sees only it.
     Updates `net` in place; returns (per-neuron mean FF loss, readout loss).
+    An empty batch or a label outside [0, n_classes) is a ValueError that
+    leaves `net` as it was.
     """
     if fused.h_pos.shape[1] != net.base_dim:
         raise ValueError(
             f"train_iteration: fused dim {fused.h_pos.shape[1]} != "
             f"base_dim {net.base_dim}")
     batch = len(fused.h_pos)
+    if not batch:
+        raise ValueError("train_iteration: empty batch")
+    check_labels(fused.true_labels, net.n_classes, "train_iteration")
     h_ff = np.concatenate([fused.h_pos, fused.h_neg])
     ff = neu = None
     loss_sums = np.zeros(net.topology.n_neurons)
@@ -210,12 +210,6 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
     return loss_sums / net.T, readout_loss
 
 
-def _block_rows(net: CyclicNet) -> int:
-    """Rows per `predict` block: the byte budget over the widest input."""
-    widest = max(p.d_in for p in net.neurons)
-    return max(PREDICT_MIN_BLOCK_ROWS, PREDICT_BLOCK_BYTES // (8 * widest))
-
-
 def _row_blocks(n_rows: int, block: int) -> list[tuple[int, int]]:
     """[start, stop) bounds covering n_rows in blocks of `block` rows.
 
@@ -233,8 +227,9 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
     """Neutral-label inference: T frozen propagation rounds, readout argmax.
     Ties break toward the lowest class index.
 
-    Rows are independent, so they are processed in cache-sized blocks; the
-    per-row arithmetic, and so the result, does not depend on the block.
+    Rows are independent, so they are processed in blocks of
+    PREDICT_BLOCK_ROWS; the per-row arithmetic, and so the result, does not
+    depend on the block.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != net.raw_dim:
@@ -242,7 +237,7 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
             f"predict: features have {features.shape[1]} cols, "
             f"expected {net.raw_dim}")
     preds = []
-    for start, stop in _row_blocks(len(features), _block_rows(net)):
+    for start, stop in _row_blocks(len(features), PREDICT_BLOCK_ROWS):
         h_neu = neutral_fusion(features[start:stop], net.n_classes,
                                net.fusion)
         outputs = None

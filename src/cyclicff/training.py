@@ -102,7 +102,10 @@ def _fit(cfg: TrainConfig, model, train: Dataset, val: Dataset, batch_step,
 
     `weights` are the arrays that `predict` and checkpoints read. Only they
     are kept for the best epoch and written back at the end; the rest of
-    the model, such as the Adam moments, is the last epoch's."""
+    the model, such as the Adam moments, is the last epoch's. An empty
+    training set is a ValueError before the first epoch."""
+    if not train.n_samples:
+        raise ValueError("fit: empty training set")
     if val.n_samples and (val.dim != train.dim
                           or val.n_classes != train.n_classes):
         raise ValueError("train/val dataset mismatch")

@@ -18,6 +18,7 @@ from cyclicff.graph import GeneratorSpec, generate
 from cyclicff.network import (MAX_T, build_network, load_checkpoint,
                               save_checkpoint)
 from cyclicff.numerics import make_rng
+from cyclicff.training import TrainConfig
 
 
 SYNTH_CFG = """
@@ -77,6 +78,9 @@ class TestConfigParsing:
         cfg = effective_config(cfg_path, ["T=not-a-number"])
         with pytest.raises(ConfigError):
             to_train_config(cfg)
+
+    def test_defaults_match_train_config(self):
+        assert to_train_config(dict(cli.DEFAULTS)) == TrainConfig()
 
     @pytest.mark.parametrize("key", ["d_out", "lr", "ws_p",
                                      "freeze_neurons"])
@@ -271,6 +275,19 @@ class TestTrainCommand:
                       "--set", f"out_dir={tmp_path / 'out'}"])
         assert rc == 2
         assert calls == []
+        assert ("val_fraction 0.9 leaves no training rows: 2 rows, 2 to "
+                "validation") in capsys.readouterr().err
+
+    def test_empty_embeddings_split_exit_2(self, tmp_path, capsys,
+                                           no_training):
+        emb = tmp_path / "emb.cnne"
+        save_embeddings(synth_blobs(1, 8, 2, 1.0, make_rng(0, 0)), emb)
+        rc = run_cli(["train", "--set", "dataset=embeddings",
+                      "--set", f"embeddings_train={emb}",
+                      "--set", f"embeddings_test={emb}",
+                      "--set", "val_fraction=0.9",
+                      "--set", f"out_dir={tmp_path / 'out'}"])
+        assert rc == 2
         assert ("val_fraction 0.9 leaves no training rows: 2 rows, 2 to "
                 "validation") in capsys.readouterr().err
 
@@ -530,8 +547,10 @@ class TestSweepCommand:
         ["--set", "synth_dim=8,x", "--seeds", "1"],
         ["--set", "T=1,2", "--set", "val_fraction=0.2,1.5", "--seeds", "1"],
         ["--set", "out_dir=a,b", "--seeds", "1"],
+        ["--set", "synth_n_per_class=1", "--set", "val_fraction=0.2,0.9",
+         "--seeds", "1"],
     ], ids=["bad-seeds", "no-axes", "bad-combo", "bad-data-value",
-            "bad-data-combo", "out-dir-axis"])
+            "bad-data-combo", "out-dir-axis", "empty-split"])
     def test_rejected_before_training(self, cfg_path, monkeypatch, args):
         calls = []
         real = cli.run_config

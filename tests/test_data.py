@@ -1,3 +1,4 @@
+import copy
 import gzip
 import struct
 
@@ -79,6 +80,16 @@ class TestFuseInputs:
         with pytest.raises(ValueError):
             fuse_inputs(np.zeros((1, 4)), np.array([0]), 10,
                         FusionMode("overlay"), rng)
+
+    @pytest.mark.parametrize("labels,message", [
+        ([0, -1], "label out of range"), ([0, 3], "label out of range"),
+        ([], "empty batch")], ids=["minus-one", "n-classes", "empty"])
+    def test_bad_batch_rejected_before_drawing(self, rng, labels, message):
+        untouched = copy.deepcopy(rng)
+        with pytest.raises(ValueError, match=message):
+            fuse_inputs(np.zeros((len(labels), 4)), np.array(labels), 3,
+                        FusionMode("concat"), rng)
+        assert rng.random() == untouched.random()
 
 
 class TestMnistIdx:

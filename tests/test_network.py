@@ -1,6 +1,7 @@
 import copy
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from conftest import OVERSIZED_CHECKPOINT, central_diff, rel_err
 from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate
 import cyclicff.network as network_module
-from cyclicff.network import (MAX_T, CyclicNet, _block_rows, _round_input,
-                              build_network, forward_round, load_checkpoint,
+from cyclicff.network import (MAX_T, PREDICT_BLOCK_ROWS, CyclicNet,
+                              _round_input, build_network, forward_round, load_checkpoint,
                               predict, propagate_step,
                               readout_forward_loss_grad, save_checkpoint,
                               train_iteration, zero_state)
@@ -382,6 +383,45 @@ class TestTrainIteration:
         with pytest.raises(ValueError):
             train_iteration(net, bad)
 
+    @staticmethod
+    def assert_same_net(net, want):
+        """Every weight, and every Adam moment and step count, as `want`'s."""
+        for got, exp in zip(net.neurons, want.neurons):
+            np.testing.assert_array_equal(got.W, exp.W)
+        np.testing.assert_array_equal(net.readout_W, want.readout_W)
+        for got, exp in zip(net.neuron_adam + [net.readout_adam],
+                            want.neuron_adam + [want.readout_adam]):
+            np.testing.assert_array_equal(got.m, exp.m)
+            np.testing.assert_array_equal(got.v, exp.v)
+            assert got.t == exp.t
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_bad_label_rejected_before_any_step(self, label):
+        net = small_net(n_classes=3)
+        fb = fused_batch(net)
+        train_iteration(net, fb)
+        labels = fb.true_labels.copy()
+        labels[2] = label
+        bad = type(fb)(h_pos=fb.h_pos, h_neg=fb.h_neg, h_neu=fb.h_neu,
+                       true_labels=labels)
+        before = copy.deepcopy(net)
+        with pytest.raises(ValueError, match="label out of range"):
+            train_iteration(net, bad)
+        self.assert_same_net(net, before)
+
+    def test_empty_batch_rejected_before_any_step(self):
+        net = small_net()
+        fb = fused_batch(net)
+        train_iteration(net, fb)
+        empty = type(fb)(h_pos=fb.h_pos[:0], h_neg=fb.h_neg[:0],
+                         h_neu=fb.h_neu[:0], true_labels=fb.true_labels[:0])
+        before = copy.deepcopy(net)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty batch"):
+                train_iteration(net, empty)
+        self.assert_same_net(net, before)
+
 
 class TestPredict:
     def test_zero_readout_ties_to_class_zero(self):
@@ -409,7 +449,7 @@ class TestPredict:
         # over all rows at once, whatever blocks predict splits them into.
         net = small_net(seed=4)
         net.readout_W = make_rng(4, 7).standard_normal(net.readout_W.shape)
-        blocks = blocks_of(_block_rows(net))
+        blocks = blocks_of(PREDICT_BLOCK_ROWS)
         rows = sum(blocks)
         feats = make_rng(5, 0).standard_normal((rows, net.raw_dim))
         h_neu = neutral_fusion(feats, net.n_classes, net.fusion)

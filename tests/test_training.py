@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,15 @@ class TestTrainLoop:
         _, val, _ = make_data(**{"dim": 10, **val_kw})
         with pytest.raises(ValueError, match="mismatch"):
             fit(quick_cfg(), train, val)
+
+    @pytest.mark.parametrize("fit", [train_loop, bp_chain_baseline],
+                             ids=["ff", "bp"])
+    def test_empty_training_set_rejected(self, fit):
+        train, val, _ = make_data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty training set"):
+                fit(quick_cfg(), train.subset([]), val)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
