@@ -37,25 +37,32 @@ class ConfigError(Exception):
 # files and validates on the rest.
 MNIST_TRAIN_ROWS = 50000
 
+
+def boolean(s: str) -> bool:
+    if s.lower() in ("1", "true", "yes", "on"):
+        return True
+    if s.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(s)
+
+
+# Typed keys by the object that takes them; `seed` serves both.
+GENERATOR_KEYS = {"n": int, "ws_k": int, "ws_p": float, "ba_m": int}
+TRAIN_KEYS = {"d_out": int, "T": int, "theta": float, "lr": float,
+              "weight_decay": float, "batch_size": int, "max_epochs": int,
+              "patience": int, "seed": int, "freeze_neurons": boolean,
+              "freeze_readout": boolean}
+
+# The model keys default to TrainConfig's values, as text a config file
+# would hold; the data keys are the CLI's own.
+_MODEL = TrainConfig()
 DEFAULTS = {
-    "graph": "complete",
-    "n": "4",
-    "ws_k": "2",
-    "ws_p": "0.3",
-    "ba_m": "2",
-    "d_out": "200",
-    "T": "3",
-    "theta": "1.0",
-    "lr": "0.001",
-    "weight_decay": "0.0",
-    "batch_size": "64",
-    "max_epochs": "100",
-    "patience": "10",
-    "seed": "0",
-    "freeze_neurons": "false",
-    "freeze_readout": "false",
-    "fusion": "concat",
-    "baseline": "none",
+    "graph": _MODEL.generator.kind,
+    **{key: str(getattr(_MODEL.generator, key)).lower()
+       for key in GENERATOR_KEYS},
+    **{key: str(getattr(_MODEL, key)).lower() for key in TRAIN_KEYS},
+    "fusion": _MODEL.fusion.mode,
+    "baseline": _MODEL.baseline,
     "dataset": "synth",
     "val_fraction": "0.2",
     "mnist_images": "train-images-idx3-ubyte.gz",
@@ -98,19 +105,14 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def apply_overrides(cfg: dict[str, str], sets: list[str]) -> dict[str, str]:
-    cfg = dict(cfg)
-    for item in sets or []:
-        key, value = _setting(item, "--set")
-        cfg[key] = value
-    return cfg
-
-
 def effective_config(config_path: str | None, sets: list[str]) -> dict[str, str]:
     cfg = dict(DEFAULTS)
     if config_path:
         cfg.update(parse_config_file(config_path))
-    return apply_overrides(cfg, sets)
+    for item in sets or []:
+        key, value = _setting(item, "--set")
+        cfg[key] = value
+    return cfg
 
 
 def _parse(cfg: dict[str, str], key: str, kind):
@@ -121,22 +123,6 @@ def _parse(cfg: dict[str, str], key: str, kind):
     except ValueError:
         raise ConfigError(
             f"{key}: expected {kind.__name__}, got {cfg[key]!r}") from None
-
-
-def boolean(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(s)
-
-
-# Typed keys by the object that takes them; `seed` serves both.
-GENERATOR_KEYS = {"n": int, "ws_k": int, "ws_p": float, "ba_m": int}
-TRAIN_KEYS = {"d_out": int, "T": int, "theta": float, "lr": float,
-              "weight_decay": float, "batch_size": int, "max_epochs": int,
-              "patience": int, "seed": int, "freeze_neurons": boolean,
-              "freeze_readout": boolean}
 
 
 def to_train_config(cfg: dict[str, str]) -> TrainConfig:

@@ -219,30 +219,41 @@ def load_embeddings(path) -> Dataset:
 
 
 def save_embeddings(d: Dataset, path) -> None:
+    """Write `d` in the `load_embeddings` layout. A label above 65535 (the
+    u16 label range) or a feature that is not finite in float32 is a
+    ValueError, raised before the file is opened."""
+    if d.n_samples and int(d.labels.max()) > 0xFFFF:
+        raise ValueError("save_embeddings: label above 65535")
+    with np.errstate(over="ignore"):
+        features = d.features.astype("<f4")
+    if not np.isfinite(features).all():
+        raise ValueError("save_embeddings: feature not finite in float32")
     with open(path, "wb") as f:
         f.write(EMBEDDING_MAGIC)
         f.write(struct.pack("<IIII", EMBEDDING_VERSION, d.n_samples,
                             d.dim, d.n_classes))
-        f.write(d.features.astype("<f4").tobytes())
+        f.write(features.tobytes())
         f.write(d.labels.astype("<u2").tobytes())
 
 
 def synth_blobs(n_per_class: int, dim: int, n_classes: int,
                 separation: float, rng: np.random.Generator) -> Dataset:
-    """Gaussian blobs at separation * e_c along the first n_classes axes."""
-    if separation < 0:
-        raise ValueError("synth_blobs: separation must be >= 0")
+    """Gaussian blobs at separation * e_c along the first n_classes axes;
+    rows [c * n_per_class, (c + 1) * n_per_class) are class c."""
+    if n_classes < 1:
+        raise ValueError(f"synth_blobs: n_classes is {n_classes}, need >= 1")
+    if n_per_class < 0:
+        raise ValueError(
+            f"synth_blobs: n_per_class is {n_per_class}, need >= 0")
+    if not separation >= 0:
+        raise ValueError(
+            f"synth_blobs: separation is {separation}, must be >= 0")
     if n_classes > dim:
         raise ValueError("synth_blobs: need n_classes <= dim")
-    features = []
-    labels = []
-    for c in range(n_classes):
-        center = np.zeros(dim)
-        center[c] = separation
-        features.append(rng.standard_normal((n_per_class, dim)) + center)
-        labels.append(np.full(n_per_class, c, dtype=np.int64))
-    return Dataset(np.concatenate(features), np.concatenate(labels),
-                   n_classes, name="synth")
+    labels = np.repeat(np.arange(n_classes), n_per_class)
+    features = rng.standard_normal((len(labels), dim))
+    features[np.arange(len(labels)), labels] += separation
+    return Dataset(features, labels, n_classes, name="synth")
 
 
 def val_rows(n_samples: int, val_fraction: float) -> int:

@@ -60,9 +60,34 @@ class CyclicNet:
     preds: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self):
+        """ValueError unless the net can run: 1 <= T <= MAX_T, at least 2
+        classes, room for the label in the fused input, and every neuron
+        and the readout shaped as the topology gives them."""
         if not self.preds:
             self.preds = [predecessors(self.topology, j)
                           for j in range(self.topology.n_neurons)]
+        if self.T < 1:
+            raise ValueError(f"T is {self.T}, need T >= 1")
+        if self.T > MAX_T:
+            raise ValueError(f"T is {self.T}, need T <= {MAX_T}")
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes is {self.n_classes}, need at least 2")
+        if self.base_dim < self.n_classes:
+            raise ValueError(f"base_dim is {self.base_dim}, need at least "
+                             f"n_classes ({self.n_classes})")
+        for j, (p, preds) in enumerate(zip(self.neurons, self.preds)):
+            if p.d_out < 1:
+                raise ValueError(f"neuron {j} has d_out {p.d_out}, need >= 1")
+            d_in = self.base_dim + sum(self.neurons[i].d_out for i in preds)
+            if p.d_in != d_in:
+                raise ValueError(
+                    f"neuron {j} has d_in {p.d_in}, its inputs (base_dim "
+                    f"{self.base_dim}, predecessors {preds}) give {d_in}")
+        shape = (self.n_classes, sum(p.d_out for p in self.neurons))
+        if self.readout_W.shape != shape:
+            raise ValueError(
+                f"readout is {self.readout_W.shape[0]}x"
+                f"{self.readout_W.shape[1]}, expected {shape[0]}x{shape[1]}")
 
     @property
     def raw_dim(self) -> int:
@@ -78,10 +103,12 @@ def build_network(t: Topology, base_dim: int, d_out: int, n_classes: int,
     """Resolve every neuron's input width from the topology and initialize.
 
     d_in(j) = base_dim + d_out per predecessor of j; d_out is uniform.
+    `CyclicNet` rejects a net that cannot run; a d_out below 1 is rejected
+    here, before the weights are drawn, since numpy cannot draw a negative
+    width.
     """
-    if not 1 <= T <= MAX_T or d_out < 1:
-        raise ValueError(
-            f"build_network: need 1 <= T <= {MAX_T} and d_out >= 1")
+    if d_out < 1:
+        raise ValueError(f"build_network: d_out is {d_out}, need >= 1")
     neurons = []
     for j in range(t.n_neurons):
         d_in = base_dim + d_out * len(predecessors(t, j))
@@ -289,10 +316,6 @@ def load_checkpoint(path) -> CyclicNet:
             f, "<IIIII", "checkpoint")
         if version not in CHECKPOINT_WEIGHTS:
             raise ValueError(f"checkpoint: unsupported version {version}")
-        if T < 1:
-            raise ValueError(f"checkpoint: T is {T}, need T >= 1")
-        if T > MAX_T:
-            raise ValueError(f"checkpoint: T is {T}, need T <= {MAX_T}")
         if fusion_flag not in (0, 1):
             raise ValueError(
                 f"checkpoint: fusion flag is {fusion_flag}, need 0 or 1")
@@ -310,22 +333,12 @@ def load_checkpoint(path) -> CyclicNet:
         if f.read(1):
             raise ValueError("checkpoint: trailing bytes after the readout")
     fusion = FusionMode("overlay" if fusion_flag else "concat")
-    net = CyclicNet(topology=Topology(n_neurons=n, synapses=tuple(edges)),
-                    neurons=neurons,
-                    neuron_adam=[AdamState.for_param(p.W) for p in neurons],
-                    readout_W=readout_W,
-                    readout_adam=AdamState.for_param(readout_W),
-                    base_dim=base_dim, T=T, n_classes=n_classes,
-                    fusion=fusion)
-    for j, (p, preds) in enumerate(zip(neurons, net.preds)):
-        d_in = base_dim + sum(neurons[i].d_out for i in preds)
-        if p.d_in != d_in:
-            raise ValueError(
-                f"checkpoint: neuron {j} has d_in {p.d_in}, its inputs "
-                f"(base_dim {base_dim}, predecessors {preds}) give {d_in}")
-    shape = (n_classes, sum(p.d_out for p in neurons))
-    if readout_W.shape != shape:
-        raise ValueError(
-            f"checkpoint: readout is {readout_W.shape[0]}x"
-            f"{readout_W.shape[1]}, expected {shape[0]}x{shape[1]}")
-    return net
+    topology = Topology(n_neurons=n, synapses=tuple(edges))
+    try:
+        return CyclicNet(
+            topology=topology, neurons=neurons,
+            neuron_adam=[AdamState.for_param(p.W) for p in neurons],
+            readout_W=readout_W, readout_adam=AdamState.for_param(readout_W),
+            base_dim=base_dim, T=T, n_classes=n_classes, fusion=fusion)
+    except ValueError as e:
+        raise ValueError(f"checkpoint: {e}") from None

@@ -68,6 +68,40 @@ OVERSIZED_CHECKPOINT = (b"CNN1" + struct.pack("<IIIII", 1, 1, 8, 2, 0)
                         + struct.pack("<IId", 2**32 - 1, 2**32 - 1, 1.0))
 
 
+def chain_checkpoint(base_dim, n_classes, d_outs, fusion_flag=0) -> bytes:
+    """A version-2 checkpoint of the chain 0 -> 1 with zero weights and T 2,
+    written byte by byte, so that any header, runnable or not, can be
+    stored. d_outs is the two neurons' (d_out, d_out)."""
+    parts = [b"CNN1",
+             struct.pack("<IIIII", 2, 2, base_dim, n_classes, fusion_flag),
+             struct.pack("<II", 2, 1), struct.pack("<II", 0, 1)]
+    for d_in, d_out in zip((base_dim, base_dim + d_outs[0]), d_outs):
+        parts += [struct.pack("<IId", d_in, d_out, 1.0),
+                  bytes(8 * d_in * d_out)]
+    cols = sum(d_outs)
+    parts += [struct.pack("<II", n_classes, cols),
+              bytes(8 * n_classes * cols)]
+    return b"".join(parts)
+
+
+# `chain_checkpoint` arguments of nets that cannot run, with the message
+# `load_checkpoint` gives for each.
+UNRUNNABLE_CHECKPOINTS = {
+    "overlay-narrow": ((2, 3, (2, 2), 1),
+                       "checkpoint: base_dim is 2, need at least "
+                       "n_classes (3)"),
+    "concat-narrow": ((2, 3, (2, 2), 0),
+                      "checkpoint: base_dim is 2, need at least "
+                      "n_classes (3)"),
+    "no-classes": ((4, 0, (2, 2), 0),
+                   "checkpoint: n_classes is 0, need at least 2"),
+    "one-class": ((4, 1, (2, 2), 0),
+                  "checkpoint: n_classes is 1, need at least 2"),
+    "d_out-0": ((4, 2, (0, 2), 0),
+                "checkpoint: neuron 0 has d_out 0, need >= 1"),
+}
+
+
 def central_diff(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Dense central finite differences of a scalar function of an array."""
     g = np.zeros_like(x, dtype=np.float64)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (OVERSIZED_CHECKPOINT, OVERSIZED_EMBEDDINGS,
+                      UNRUNNABLE_CHECKPOINTS, chain_checkpoint,
                       write_idx_images, write_idx_labels)
 from cyclicff import cli
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
@@ -81,6 +82,11 @@ class TestConfigParsing:
 
     def test_defaults_match_train_config(self):
         assert to_train_config(dict(cli.DEFAULTS)) == TrainConfig()
+
+    def test_defaults_hash_pinned(self):
+        # Run artifacts are named by this hash; a change of a default's
+        # text would rename every run.
+        assert config_hash(dict(cli.DEFAULTS)) == "10a5e749"
 
     @pytest.mark.parametrize("key", ["d_out", "lr", "ws_p",
                                      "freeze_neurons"])
@@ -413,6 +419,17 @@ class TestEvalCommand:
             net.readout_W[0, 0] = np.inf
         save_checkpoint(net, ckpt)
         capsys.readouterr()
+        rc = run_cli(["eval", "--config", cfg_path,
+                      "--checkpoint", str(ckpt)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE_CHECKPOINTS))
+    def test_unrunnable_checkpoint_exit_2(self, cfg_path, tmp_path, capsys,
+                                          case):
+        args, message = UNRUNNABLE_CHECKPOINTS[case]
+        ckpt = tmp_path / "net.ckpt"
+        ckpt.write_bytes(chain_checkpoint(*args))
         rc = run_cli(["eval", "--config", cfg_path,
                       "--checkpoint", str(ckpt)])
         assert rc == 2

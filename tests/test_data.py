@@ -1,5 +1,6 @@
 import copy
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -190,6 +191,21 @@ class TestEmbeddingFormat:
         d2 = load_embeddings(p)
         assert d2.n_samples == 0 and d2.dim == 768 and d2.n_classes == 20
 
+    @pytest.mark.parametrize("what", ["label", "feature"])
+    def test_unwritable_value_rejected_before_open(self, tmp_path, what):
+        # A u16 label holds at most 65535; float32 at most about 3.4e38.
+        features, labels = np.zeros((3, 4)), np.array([0, 1, 2])
+        if what == "label":
+            labels[2], n_classes = 70000, 70001
+            message = "label above 65535"
+        else:
+            features[1, 2], n_classes = 1e39, 3
+            message = "feature not finite in float32"
+        p = tmp_path / "emb.bin"
+        with pytest.raises(ValueError, match=message):
+            save_embeddings(Dataset(features, labels, n_classes), p)
+        assert not p.exists()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"NOPE" + b"\0" * 16)
@@ -259,7 +275,43 @@ class TestEmbeddingFormat:
             load_embeddings(p)
 
 
+def per_class_synth_blobs(n_per_class, dim, n_classes, separation, rng):
+    """The former `synth_blobs`: one draw per class, shifted by its
+    centre, then concatenated."""
+    features, labels = [], []
+    for c in range(n_classes):
+        center = np.zeros(dim)
+        center[c] = separation
+        features.append(rng.standard_normal((n_per_class, dim)) + center)
+        labels.append(np.full(n_per_class, c, dtype=np.int64))
+    return np.concatenate(features), np.concatenate(labels)
+
+
 class TestSynthBlobs:
+    @pytest.mark.parametrize("shape", [(80, 784, 10, 4.0), (2000, 20, 4, 6.0),
+                                       (0, 5, 2, 1.0), (1, 1, 1, 0.0),
+                                       (7, 9, 3, 2.5)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_equals_per_class_draws(self, shape, seed):
+        d = synth_blobs(*shape, make_rng(seed, 100))
+        features, labels = per_class_synth_blobs(*shape, make_rng(seed, 100))
+        assert np.array_equal(d.features, features)
+        assert np.array_equal(d.labels, labels)
+        assert d.labels.dtype == labels.dtype
+
+    @pytest.mark.parametrize("args,message", [
+        ((10, 4, 0, 1.0), "n_classes is 0, need >= 1"),
+        ((-1, 4, 2, 1.0), "n_per_class is -1, need >= 0"),
+        ((10, 4, 2, float("nan")), "separation is nan, must be >= 0"),
+        ((10, 4, 2, -1.0), "separation is -1.0, must be >= 0"),
+    ], ids=["no-classes", "negative-rows", "nan-separation",
+            "negative-separation"])
+    def test_bad_args_rejected_before_drawing(self, args, message):
+        rng = make_rng(0, 100)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synth_blobs(*args, rng)
+        assert np.array_equal(rng.random(4), make_rng(0, 100).random(4))
+
     def test_separable_least_squares_oracle(self):
         d = synth_blobs(200, 10, 2, 6.0, make_rng(0, 100))
         x = np.hstack([d.features, np.ones((d.n_samples, 1))])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OVERSIZED_CHECKPOINT, central_diff, rel_err
+from conftest import (OVERSIZED_CHECKPOINT, UNRUNNABLE_CHECKPOINTS,
+                      central_diff, chain_checkpoint, rel_err)
 from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate
 import cyclicff.network as network_module
@@ -112,6 +113,26 @@ class TestBuildNetwork:
             build_network(topo, 4, 3, 2, 1.0, 0, make_rng(0, 0))
         with pytest.raises(ValueError):
             build_network(topo, 4, 3, 2, 1.0, MAX_T + 1, make_rng(0, 0))
+
+    @pytest.mark.parametrize("d_out", [0, -1])
+    def test_bad_width_rejected_before_drawing(self, d_out):
+        topo = generate(GeneratorSpec("chain", 2))
+        rng = make_rng(0, 0)
+        with pytest.raises(ValueError, match=f"d_out is {d_out}, need >= 1"):
+            build_network(topo, 4, d_out, 2, 1.0, 2, rng)
+        assert np.array_equal(rng.random(4), make_rng(0, 0).random(4))
+
+    @pytest.mark.parametrize("base_dim,n_classes,fusion,message", [
+        (2, 3, "overlay", "base_dim is 2, need at least n_classes (3)"),
+        (2, 3, "concat", "base_dim is 2, need at least n_classes (3)"),
+        (4, 1, "concat", "n_classes is 1, need at least 2"),
+    ], ids=["overlay-narrow", "concat-narrow", "one-class"])
+    def test_unrunnable_net_rejected(self, base_dim, n_classes, fusion,
+                                     message):
+        topo = generate(GeneratorSpec("chain", 2))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_network(topo, base_dim, 3, n_classes, 1.0, 2,
+                          make_rng(0, 0), fusion=FusionMode(fusion))
 
     @given(st.sampled_from(["chain", "cycle", "complete", "ws", "ba"]),
            st.integers(4, 8), st.integers(0, 3))
@@ -649,6 +670,14 @@ class TestCheckpoint:
             save_checkpoint(loaded, again)
             assert values(load_checkpoint(again)) == values(loaded), bit
         assert 0 < rejected < 8 * len(good)
+
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE_CHECKPOINTS))
+    def test_unrunnable_header_rejected(self, tmp_path, case):
+        args, message = UNRUNNABLE_CHECKPOINTS[case]
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(chain_checkpoint(*args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
 
     def test_header_beyond_file(self, tmp_path):
         path = tmp_path / "net.ckpt"

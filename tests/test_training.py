@@ -1,3 +1,6 @@
+import ctypes
+import glob
+import os
 import warnings
 from pathlib import Path
 
@@ -8,7 +11,7 @@ from conftest import central_diff, rel_err
 from cyclicff import cli
 from cyclicff.data import split, synth_blobs
 from cyclicff.graph import GeneratorSpec
-from cyclicff.network import predict
+from cyclicff.network import predict, save_checkpoint
 from cyclicff.numerics import make_rng
 from cyclicff.training import (BPChainMLP, Metrics, TrainConfig, _fit,
                                bp_chain_baseline, evaluate, run_config,
@@ -321,3 +324,48 @@ class TestMetricsCsv:
         assert lines[0] == "epoch,neuron_loss,readout_loss,train_err,val_err,seconds"
         assert len(lines) == 3
         assert all(len(ln.split(",")) == 6 for ln in lines[1:])
+
+
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, found
+    the way benchmarks/run.py finds it, or None when there is none."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                          "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.restype = ctypes.c_int
+            set_.argtypes = [ctypes.c_int]
+            return get, set_
+    return None
+
+
+class TestDeterminism:
+    def test_same_bits_at_a_pinned_blas_thread_count(self, tmp_path):
+        # The README's contract: a fixed numpy build and BLAS thread count
+        # give the same checkpoint bytes. Counts are not compared with each
+        # other: OpenBLAS splits a wide matmul differently per count.
+        calls = _openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, set_ = calls
+        full = synth_blobs(64, 784, 4, 3.0, make_rng(0, 100))
+        train, val = split(full, 0.25, make_rng(0, "data-shuffle"))
+        cfg = quick_cfg(generator=GeneratorSpec("complete", 4), d_out=200,
+                        max_epochs=1)
+        original = get()
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                assert get() == threads
+                runs = []
+                for run in range(2):
+                    net, _ = train_loop(cfg, train, val)
+                    path = tmp_path / f"{threads}-{run}.ckpt"
+                    save_checkpoint(net, path)
+                    runs.append(path.read_bytes())
+                assert runs[0] == runs[1], threads
+        finally:
+            set_(original)
