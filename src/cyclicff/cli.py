@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -46,12 +47,14 @@ def boolean(s: str) -> bool:
     raise ValueError(s)
 
 
-# Typed keys by the object that takes them; `seed` serves both.
-GENERATOR_KEYS = {"n": int, "ws_k": int, "ws_p": float, "ba_m": int}
-TRAIN_KEYS = {"d_out": int, "T": int, "theta": float, "lr": float,
-              "weight_decay": float, "batch_size": int, "max_epochs": int,
-              "patience": int, "seed": int, "freeze_neurons": boolean,
-              "freeze_readout": boolean}
+# Typed keys by the object that takes them: its int, float and bool fields
+# in field order, each with the parser of its config text. The generator's
+# seed is not a key: TrainConfig gives it the run's.
+_PARSERS = {int: int, float: float, bool: boolean}
+GENERATOR_KEYS, TRAIN_KEYS = (
+    {key: _PARSERS[kind] for key, kind in typing.get_type_hints(cls).items()
+     if kind in _PARSERS and key not in leave_out}
+    for cls, leave_out in ((GeneratorSpec, ("seed",)), (TrainConfig, ())))
 
 # The model keys default to TrainConfig's values, as text a config file
 # would hold; the data keys are the CLI's own.
@@ -131,12 +134,9 @@ def to_train_config(cfg: dict[str, str]) -> TrainConfig:
 
     train = parsed(TRAIN_KEYS)
     try:
-        gen = GeneratorSpec(kind=cfg["graph"], seed=train["seed"],
-                            **parsed(GENERATOR_KEYS))
-        tc = TrainConfig(generator=gen, fusion=FusionMode(cfg["fusion"]),
-                         baseline=cfg["baseline"], **train)
-        tc.validate()
-        return tc
+        gen = GeneratorSpec(kind=cfg["graph"], **parsed(GENERATOR_KEYS))
+        return TrainConfig(generator=gen, fusion=FusionMode(cfg["fusion"]),
+                           baseline=cfg["baseline"], **train)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -214,7 +214,7 @@ def load_test_set(cfg: dict[str, str]) -> Dataset:
     if cfg["dataset"] == "embeddings":
         return _load_file(load_embeddings, _data_path(cfg, "embeddings_test"))
     return synth_blobs(max(s["n"] // 4, 1), s["dim"], s["classes"], s["sep"],
-                       make_rng(s["seed"], 101))
+                       make_rng(s["seed"], "synth-test"))
 
 
 def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
@@ -241,7 +241,7 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
         _check_split(full.n_samples, s["val_fraction"])
     else:
         full = synth_blobs(s["n"], s["dim"], s["classes"], s["sep"],
-                           make_rng(seed, 100))
+                           make_rng(seed, "synth-data"))
     train, val = split(full, s["val_fraction"], make_rng(seed, "data-shuffle"))
     return train, val, load_test_set(cfg)
 
@@ -252,9 +252,12 @@ def config_hash(cfg: dict[str, str]) -> str:
 
 
 def _git_describe() -> str:
+    """`git describe` of the source tree this package runs from, whatever
+    the working directory; "" outside a checkout."""
     try:
         return subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True, text=True, timeout=5).stdout.strip()
     except (OSError, subprocess.SubprocessError):
         return ""
@@ -287,18 +290,27 @@ def write_manifest(path: str, cfg: dict[str, str], seeds: list[int],
     _write_atomic(path, lambda tmp: Path(tmp).write_text(text))
 
 
+def _make_out_dir(cfg: dict[str, str]) -> str:
+    """The config's out_dir, created before any run trains; a path that
+    cannot be made a directory is a config error."""
+    try:
+        os.makedirs(cfg["out_dir"], exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out_dir: {e}") from None
+    return cfg["out_dir"]
+
+
 def cmd_train(args) -> int:
     cfg = effective_config(args.config, args.set)
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
     tc = to_train_config(cfg)
     train, val, test = load_datasets(cfg)
+    out_dir = _make_out_dir(cfg)
 
     started = time.time()
     model, metrics = run_config(tc, train, val, test)
 
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     stem = f"run-{config_hash(cfg)}-{tc.seed}"
     csv_path = os.path.join(out_dir, stem + ".csv")
     csv = metrics.to_csv()
@@ -339,9 +351,10 @@ def _parse_seeds(spec: str) -> list[int]:
             f"--seeds {spec!r}: expected a,b,... or lo..hi") from None
 
 
-def _one_sweep_run(cfg: dict[str, str]) -> float:
+def _one_sweep_run(job: tuple[TrainConfig, dict[str, str]]) -> float:
     """One sweep job; it builds its own data, so data keys can be swept."""
-    _, metrics = run_config(to_train_config(cfg), *load_datasets(cfg))
+    tc, cfg = job
+    _, metrics = run_config(tc, *load_datasets(cfg))
     return metrics.test_err
 
 
@@ -355,6 +368,9 @@ def cmd_sweep(args) -> int:
         if key == "out_dir":
             raise ConfigError("sweep: out_dir cannot be swept; the summary "
                               "goes to the config's out_dir")
+        if key == "seed":
+            raise ConfigError("sweep: seed cannot be a --set axis; list "
+                              "the seeds with --seeds")
         vals = [v.strip() for v in values.split(",") if v.strip()]
         if not vals:
             raise ConfigError(f"--set {key}: empty value list")
@@ -368,17 +384,16 @@ def cmd_sweep(args) -> int:
     combos = list(itertools.product(*(vals for _, vals in axes)))
     keys = [k for k, _ in axes]
 
+    # Every job's config is built and checked before the first run trains.
     jobs = []
     for combo in combos:
         for seed in seeds:
             cfg = dict(base)
             cfg.update(dict(zip(keys, combo)))
             cfg["seed"] = str(seed)
-            jobs.append(cfg)
-    # Reject a bad value in any combo before the first run trains.
-    for cfg in jobs:
-        to_train_config(cfg)
-        _data_settings(cfg)
+            jobs.append((to_train_config(cfg), cfg))
+            _data_settings(cfg)
+    out_dir = _make_out_dir(base)
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -386,8 +401,6 @@ def cmd_sweep(args) -> int:
     else:
         errs = list(map(_one_sweep_run, jobs))
 
-    out_dir = base["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     # Named from the base config, the swept values and the seeds, so
     # sweeps of one config over different axes keep separate summaries.
     sweep_id = hashlib.sha256(

@@ -46,7 +46,7 @@ class GeneratorSpec:
     ba_m: int = 2
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
@@ -108,7 +108,6 @@ def ba_edge_count(n: int, m: int) -> int:
 
 
 def generate(spec: GeneratorSpec) -> Topology:
-    spec.validate()
     n = spec.n
     if spec.kind == "chain":
         edges = [(i, i + 1) for i in range(n - 1)]

@@ -57,15 +57,14 @@ class CyclicNet:
     T: int
     n_classes: int
     fusion: FusionMode
-    preds: list[list[int]] = field(default_factory=list)
+    preds: list[list[int]] = field(init=False)   # from the topology
 
     def __post_init__(self):
         """ValueError unless the net can run: 1 <= T <= MAX_T, at least 2
         classes, room for the label in the fused input, and every neuron
         and the readout shaped as the topology gives them."""
-        if not self.preds:
-            self.preds = [predecessors(self.topology, j)
-                          for j in range(self.topology.n_neurons)]
+        self.preds = [predecessors(self.topology, j)
+                      for j in range(self.topology.n_neurons)]
         if self.T < 1:
             raise ValueError(f"T is {self.T}, need T >= 1")
         if self.T > MAX_T:

@@ -31,6 +31,9 @@ STREAMS = {
     "negative-labels": 1,
     "data-shuffle": 2,
     "graph": 3,
+    # The CLI's synthetic blobs: the train/val pool and the test set.
+    "synth-data": 100,
+    "synth-test": 101,
 }
 
 

@@ -18,6 +18,8 @@ from .numerics import (AdamState, adam_step, check_seed, make_rng, relu,
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Checked when made; its generator takes the run's `seed`."""
+
     generator: GeneratorSpec = GeneratorSpec("complete", 4)
     d_out: int = 200
     T: int = 3
@@ -33,7 +35,7 @@ class TrainConfig:
     fusion: FusionMode = FusionMode("concat")
     baseline: str = "none"  # "none" or "bp-chain"
 
-    def validate(self):
+    def __post_init__(self):
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         for name in ("lr", "theta", "weight_decay"):
@@ -49,7 +51,8 @@ class TrainConfig:
         if self.baseline not in ("none", "bp-chain"):
             raise ValueError(f"unknown baseline {self.baseline!r}")
         check_seed(self.seed)
-        self.generator.validate()
+        object.__setattr__(self, "generator",
+                           replace(self.generator, seed=self.seed))
 
 
 @dataclass
@@ -153,8 +156,7 @@ def train_loop(cfg: TrainConfig, train: Dataset,
                val: Dataset) -> tuple[CyclicNet, Metrics]:
     """Build the cyclic net and fit it with local forward-forward steps;
     `_fit` holds the epoch and early-stopping rules."""
-    cfg.validate()
-    topo = generate(replace(cfg.generator, seed=cfg.seed))
+    topo = generate(cfg.generator)
     base_dim = cfg.fusion.fused_dim(train.dim, train.n_classes)
     net = build_network(topo, base_dim, cfg.d_out, train.n_classes,
                         cfg.theta, cfg.T, make_rng(cfg.seed, "weights"),
@@ -254,7 +256,6 @@ def bp_chain_baseline(cfg: TrainConfig, train: Dataset,
                       val: Dataset) -> tuple[BPChainMLP, Metrics]:
     """Comparison baseline: conventional end-to-end backprop, same optimizer
     and early-stopping machinery (`_fit`) as the local-learning runs."""
-    cfg.validate()
     model = BPChainMLP(train.dim, cfg.d_out, train.n_classes,
                        make_rng(cfg.seed, "weights"),
                        lr=cfg.lr, weight_decay=cfg.weight_decay)

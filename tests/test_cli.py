@@ -83,6 +83,17 @@ class TestConfigParsing:
     def test_defaults_match_train_config(self):
         assert to_train_config(dict(cli.DEFAULTS)) == TrainConfig()
 
+    def test_key_tables_follow_the_dataclasses(self):
+        # The generator's seed is the run's, so it is no generator key.
+        assert list(cli.GENERATOR_KEYS.items()) == [
+            ("n", int), ("ws_k", int), ("ws_p", float), ("ba_m", int)]
+        assert list(cli.TRAIN_KEYS.items()) == [
+            ("d_out", int), ("T", int), ("theta", float), ("lr", float),
+            ("weight_decay", float), ("batch_size", int),
+            ("max_epochs", int), ("patience", int), ("seed", int),
+            ("freeze_neurons", cli.boolean),
+            ("freeze_readout", cli.boolean)]
+
     def test_defaults_hash_pinned(self):
         # Run artifacts are named by this hash; a change of a default's
         # text would rename every run.
@@ -309,6 +320,37 @@ class TestTrainCommand:
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense = 1\n")
         assert run_cli(["train", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["sweep", "--set", "T=1,2", "--seeds", "1"]],
+        ids=["train", "sweep"])
+    def test_out_dir_under_a_file_exit_2(self, tmp_path, capsys,
+                                         no_training, command):
+        (tmp_path / "file").write_text("")
+        p = tmp_path / "s.cfg"
+        p.write_text(SYNTH_CFG + f"out_dir = {tmp_path / 'file' / 'x'}\n")
+        assert run_cli(command + ["--config", str(p)]) == 2
+        assert "config error: out_dir: " in capsys.readouterr().err
+
+    def test_config_error_creates_no_out_dir(self, cfg_path, tmp_path):
+        out_dir = tmp_path / "out"
+        assert run_cli(["train", "--config", cfg_path, "--set", "T=0",
+                        "--set", f"out_dir={out_dir}"]) == 2
+        assert not out_dir.exists()
+
+    def test_git_describe_reads_the_source_tree(self, tmp_path,
+                                                monkeypatch):
+        package_dir = os.path.dirname(os.path.abspath(cli.__file__))
+        try:
+            want = subprocess.run(
+                ["git", "-C", package_dir, "describe", "--always",
+                 "--dirty"], capture_output=True, text=True, timeout=5)
+        except (OSError, subprocess.SubprocessError):
+            pytest.skip("git is not available")
+        if want.returncode != 0 or not want.stdout.strip():
+            pytest.skip("the package is not in a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert _git_describe() == want.stdout.strip()
 
     def test_failed_checkpoint_save_keeps_previous(self, cfg_path, tmp_path,
                                                    monkeypatch):
@@ -579,6 +621,12 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "run_config", counting)
         assert run_cli(["sweep", "--config", cfg_path] + args) == 2
         assert calls == []
+
+    def test_seed_axis_exit_2(self, cfg_path, capsys, no_training):
+        # --seeds sets every job's seed, so a seed axis would be ignored.
+        assert run_cli(["sweep", "--config", cfg_path, "--set", "seed=1,2",
+                        "--seeds", "5"]) == 2
+        assert "list the seeds with --seeds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args,message", [
         (["--seeds=-1..1"], "seed -1 is outside [0, 2**64)"),

@@ -79,6 +79,12 @@ class TestWS:
         with pytest.raises(ValueError):
             generate(GeneratorSpec("ws", 4, ws_k=4))
 
+    def test_invalid_spec_rejected_when_made(self):
+        with pytest.raises(ValueError, match="k must be even"):
+            GeneratorSpec("ws", 8, ws_k=3)
+        with pytest.raises(ValueError, match="unknown generator kind"):
+            GeneratorSpec("star", 4)
+
 
 class TestBA:
     @pytest.mark.parametrize("n,m", [(3, 1), (5, 2), (10, 3), (20, 4)])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import re
 import struct
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import (OVERSIZED_CHECKPOINT, UNRUNNABLE_CHECKPOINTS,
                       central_diff, chain_checkpoint, rel_err)
 from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
-from cyclicff.graph import GeneratorSpec, generate
+from cyclicff.graph import GeneratorSpec, generate, predecessors
 import cyclicff.network as network_module
 from cyclicff.network import (MAX_T, PREDICT_BLOCK_ROWS, CyclicNet,
                               _round_input, build_network, forward_round, load_checkpoint,
@@ -113,6 +114,12 @@ class TestBuildNetwork:
             build_network(topo, 4, 3, 2, 1.0, 0, make_rng(0, 0))
         with pytest.raises(ValueError):
             build_network(topo, 4, 3, 2, 1.0, MAX_T + 1, make_rng(0, 0))
+
+    def test_preds_come_from_the_topology(self):
+        net = small_net("ws", 6, seed=2)
+        assert net.preds == [predecessors(net.topology, j) for j in range(6)]
+        fields = {f.name: f for f in dataclasses.fields(CyclicNet)}
+        assert not fields["preds"].init
 
     @pytest.mark.parametrize("d_out", [0, -1])
     def test_bad_width_rejected_before_drawing(self, d_out):

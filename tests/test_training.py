@@ -121,11 +121,11 @@ class TestTrainLoop:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(lr=0.0).validate()
+            TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(patience=0).validate()
+            TrainConfig(patience=0)
         with pytest.raises(ValueError):
-            TrainConfig(baseline="sgd").validate()
+            TrainConfig(baseline="sgd")
 
     def test_freeze_readout_collapses_to_chance(self):
         train, val, test = make_data(n_per_class=300)
@@ -313,7 +313,14 @@ class TestTrainConfig:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range(self, seed):
         with pytest.raises(ValueError, match=f"seed {seed} is outside"):
-            quick_cfg(seed=seed).validate()
+            quick_cfg(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_generator_takes_the_run_seed(self, seed):
+        gen = GeneratorSpec("ws", 8, ws_k=2, seed=3)
+        assert TrainConfig(seed=seed).generator.seed == seed
+        assert TrainConfig(generator=gen, seed=seed).generator == \
+            GeneratorSpec("ws", 8, ws_k=2, seed=seed)
 
 
 class TestMetricsCsv:
