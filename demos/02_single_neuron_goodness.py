@@ -14,7 +14,7 @@ from cyclicff.numerics import AdamState, adam_step, make_rng
 
 rng = make_rng(0, "weights")
 neuron = init_neuron(d_in=10, d_out=16, theta=1.0, rng=rng)
-adam = AdamState.for_param(neuron.W, lr=1e-2)
+adam = AdamState(lr=1e-2)
 
 feats = rng.standard_normal((32, 8))
 pos = np.hstack([feats, np.tile([1.0, 0.0], (32, 1))])

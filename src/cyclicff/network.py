@@ -114,10 +114,10 @@ def build_network(t: Topology, base_dim: int, d_out: int, n_classes: int,
         neurons.append(init_neuron(d_in, d_out, theta, rng))
     readout_cols = d_out * t.n_neurons
     readout_W = np.zeros((n_classes, readout_cols))
-    adam = partial(AdamState.for_param, lr=lr, weight_decay=weight_decay)
+    adam = partial(AdamState, lr=lr, weight_decay=weight_decay)
     return CyclicNet(topology=t, neurons=neurons,
-                     neuron_adam=[adam(p.W) for p in neurons],
-                     readout_W=readout_W, readout_adam=adam(readout_W),
+                     neuron_adam=[adam() for _ in neurons],
+                     readout_W=readout_W, readout_adam=adam(),
                      base_dim=base_dim, T=T, n_classes=n_classes,
                      fusion=fusion)
 
@@ -288,10 +288,10 @@ def save_checkpoint(net: CyclicNet, path) -> None:
             f.write(struct.pack("<II", src, dst))
         for p in net.neurons:
             f.write(struct.pack("<IId", p.d_in, p.d_out, p.theta))
-            f.write(p.W.astype(dtype).tobytes())
+            f.write(np.ascontiguousarray(p.W, dtype))
         rows, cols = net.readout_W.shape
         f.write(struct.pack("<II", rows, cols))
-        f.write(net.readout_W.astype(dtype).tobytes())
+        f.write(np.ascontiguousarray(net.readout_W, dtype))
 
 
 def load_checkpoint(path) -> CyclicNet:
@@ -300,7 +300,7 @@ def load_checkpoint(path) -> CyclicNet:
     A short or overlong file, a header field out of range, a non-finite
     weight or theta, or weight shapes that disagree with the stored
     topology, is a ValueError. The Adam states start fresh: moments are not
-    saved."""
+    saved, and none are held until the net trains."""
     def matrix(rows, cols, what):
         raw = read_exact(f, rows * cols * dtype.itemsize, "checkpoint")
         W = np.frombuffer(raw, dtype=dtype)
@@ -336,8 +336,8 @@ def load_checkpoint(path) -> CyclicNet:
     try:
         return CyclicNet(
             topology=topology, neurons=neurons,
-            neuron_adam=[AdamState.for_param(p.W) for p in neurons],
-            readout_W=readout_W, readout_adam=AdamState.for_param(readout_W),
+            neuron_adam=[AdamState() for _ in neurons],
+            readout_W=readout_W, readout_adam=AdamState(),
             base_dim=base_dim, T=T, n_classes=n_classes, fusion=fusion)
     except ValueError as e:
         raise ValueError(f"checkpoint: {e}") from None

@@ -8,7 +8,8 @@ with respect to W, so the chain rule covers only ReLU o linear.
 The normalisation is applied after the matmul: a per-row scale commutes
 with the linear map, (h / ||h||) @ W.T = (h @ W.T) / ||h||, so only the
 (batch x d_out) product is scaled and no normalized copy of the wider
-input is built. The gradient carries the same row scale on dz.
+input is built. The gradient carries the same row scale on dz, so the FF
+step computes the input's row norms once for both.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import l2_normalize_rows, relu, sigmoid
+from .numerics import l2_normalize_rows, relu, row_norms, sigmoid
 
 PROB_CLAMP = 1e-12
 
@@ -47,11 +48,15 @@ def init_neuron(d_in: int, d_out: int, theta: float,
     return NeuronParams(rng.uniform(-bound, bound, size=(d_out, d_in)), theta)
 
 
-def _forward_parts(p: NeuronParams, h_in: np.ndarray):
-    """Returns (input, pre-activation, output)."""
+def _check_width(p: NeuronParams, h_in: np.ndarray) -> None:
     if h_in.shape[1] != p.d_in:
         raise ValueError(
             f"neuron_forward: input has {h_in.shape[1]} cols, expected {p.d_in}")
+
+
+def _forward_parts(p: NeuronParams, h_in: np.ndarray):
+    """Returns (input, pre-activation, output)."""
+    _check_width(p, h_in)
     z = l2_normalize_rows(h_in @ p.W.T, h_in)
     return h_in, z, relu(z)
 
@@ -91,7 +96,9 @@ def ff_loss_grad_outputs(p: NeuronParams, h_in_pos: np.ndarray,
     h_in = np.concatenate([h_in_pos, h_in_neg])
     y = np.arange(2 * batch) < batch
 
-    _, _, h = _forward_parts(p, h_in)
+    _check_width(p, h_in)
+    norms = row_norms(h_in)[:, None]
+    h = relu(h_in @ p.W.T / norms)
     prob = goodness(h, p.theta)
     q = np.where(y, prob, 1.0 - prob)
     loss = -np.sum(np.log(np.clip(q, PROB_CLAMP, 1 - PROB_CLAMP))) / batch
@@ -99,5 +106,5 @@ def ff_loss_grad_outputs(p: NeuronParams, h_in_pos: np.ndarray,
     # d loss / d logit = (p - y) / B; d logit / d h = 2h, and h = relu(z) is
     # already zero wherever the ReLU blocks the gradient.
     dz = ((prob - y) / batch)[:, None] * 2.0 * h
-    grad = l2_normalize_rows(dz, h_in).T @ h_in
+    grad = (dz / norms).T @ h_in
     return float(loss), grad, h

@@ -52,10 +52,25 @@ def make_rng(seed: int, stream: int | str = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """max(||row||_2, 1e-8) for each row of a (batch x dim) matrix. The
+    guard makes a zero row a fixed point of dividing by it."""
+    m = np.asarray(m, dtype=np.float64)
+    # vecdot warns when a huge finite row's sum overflows to inf; such a
+    # row scales to zero, like any row whose norm is inf.
+    with np.errstate(over="ignore"):
+        sq = np.vecdot(m, m)
+    # A non-finite entry always makes its row sum non-finite; a huge finite
+    # one can overflow it too, so only then are the entries scanned.
+    if not np.isfinite(sq).all() and not np.isfinite(m).all():
+        raise ValueError("row_norms: non-finite input")
+    return np.maximum(np.sqrt(sq), EPS_NORM)
+
+
 def l2_normalize_rows(m: np.ndarray,
                       by: np.ndarray | None = None) -> np.ndarray:
-    """Each row of a (batch x dim) matrix over max(||row of by||_2, 1e-8);
-    `by` defaults to `m`. The guard makes a zero row a fixed point.
+    """Each row of a (batch x dim) matrix over its `row_norms` entry of
+    `by`, which defaults to `m`.
 
     A per-row scale commutes with a linear map, so a neuron can normalise
     its (batch x d_out) product by its input's row norms instead of
@@ -66,15 +81,7 @@ def l2_normalize_rows(m: np.ndarray,
     if by.shape[0] != m.shape[0]:
         raise ValueError(
             f"l2_normalize_rows: {m.shape[0]} rows scaled by {by.shape[0]}")
-    # vecdot warns when a huge finite row's sum overflows to inf; such a
-    # row scales to zero, like any row whose norm is inf.
-    with np.errstate(over="ignore"):
-        sq = np.vecdot(by, by)
-    # A non-finite entry always makes its row sum non-finite; a huge finite
-    # one can overflow it too, so only then are the entries scanned.
-    if not np.isfinite(sq).all() and not np.isfinite(by).all():
-        raise ValueError("l2_normalize_rows: non-finite input")
-    return m / np.maximum(np.sqrt(sq), EPS_NORM)[:, None]
+    return m / row_norms(by)[:, None]
 
 
 def softmax_stable(logits: np.ndarray) -> np.ndarray:
@@ -118,26 +125,21 @@ class AdamState:
     """Per-parameter Adam moments, step count, learning rate and decay.
 
     Weight decay is coupled L2: the decay term is folded into the gradient
-    before the moment updates.
+    before the moment updates. The moments are None until the first step
+    allocates them, so a parameter that never trains holds none.
     """
 
-    m: np.ndarray
-    v: np.ndarray
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
     lr: float = 1e-3
     weight_decay: float = 0.0
 
-    @classmethod
-    def for_param(cls, param: np.ndarray, lr: float = 1e-3,
-                  weight_decay: float = 0.0) -> "AdamState":
-        return cls(m=np.zeros_like(param, dtype=np.float64),
-                   v=np.zeros_like(param, dtype=np.float64),
-                   lr=lr, weight_decay=weight_decay)
-
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, written in place into `params` and
-    the state's moments, which must be contiguous.
+    the state's moments, which must be contiguous. The first step that
+    passes the checks allocates the moments, as zeros like `params`.
 
     The update is elementwise, so it runs over blocks of ADAM_BLOCK_BYTES
     per array through two block-sized temporaries; the bits do not depend
@@ -145,24 +147,29 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     in its order: g + wd p, m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
     p - lr (m / c1) / (sqrt(v / c2) + eps).
     """
-    if not (params.shape == grad.shape == state.m.shape == state.v.shape):
+    # Moments not yet allocated will be shaped like params.
+    m, v = (params, params) if state.m is None else (state.m, state.v)
+    if not (params.shape == grad.shape == m.shape == v.shape):
         raise ValueError(
             f"adam_step: shape mismatch params {params.shape} "
-            f"grad {grad.shape} moments {state.m.shape} {state.v.shape}")
+            f"grad {grad.shape} moments {m.shape} {v.shape}")
     # A non-contiguous array would be reshaped into a copy, and the update
     # would be lost with it.
-    if not (params.flags.c_contiguous and state.m.flags.c_contiguous
-            and state.v.flags.c_contiguous):
+    if not (params.flags.c_contiguous and m.flags.c_contiguous
+            and v.flags.c_contiguous):
         raise ValueError("adam_step: params and moments must be contiguous")
+    flat_grad = grad.reshape(-1)
+    for start in range(0, grad.size, ADAM_BLOCK):
+        if not np.isfinite(flat_grad[start:start + ADAM_BLOCK]).all():
+            raise ValueError("adam_step: non-finite gradient")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     if params.size <= ADAM_BLOCK:
         blocks = [(params, grad, state.m, state.v)]
     else:
         flat = [x.reshape(-1) for x in (params, grad, state.m, state.v)]
         blocks = [[x[start:start + ADAM_BLOCK] for x in flat]
                   for start in range(0, params.size, ADAM_BLOCK)]
-    for _, g, _, _ in blocks:
-        if not np.isfinite(g).all():
-            raise ValueError("adam_step: non-finite gradient")
 
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t

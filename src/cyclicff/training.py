@@ -197,8 +197,7 @@ class BPChainMLP:
         for w in self.weights:
             bound = 1.0 / np.sqrt(w.shape[1])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
-        self.adam = AdamState.for_param(self.params, lr=lr,
-                                        weight_decay=weight_decay)
+        self.adam = AdamState(lr=lr, weight_decay=weight_decay)
 
     def _layers(self, flat: np.ndarray):
         """(weights, biases): per-layer views of a flat `params`-sized
@@ -211,12 +210,15 @@ class BPChainMLP:
             start = stop + d_out
         return weights, biases
 
-    def _forward(self, x: np.ndarray):
-        acts = [x]
+    def _activations(self, x: np.ndarray):
+        """Yields x, then each hidden layer's ReLU output in turn."""
+        yield x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            acts.append(relu(acts[-1] @ w.T + b))
-        logits = acts[-1] @ self.weights[-1].T + self.biases[-1]
-        return acts, logits
+            x = relu(x @ w.T + b)
+            yield x
+
+    def _logits(self, h: np.ndarray) -> np.ndarray:
+        return h @ self.weights[-1].T + self.biases[-1]
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray,
                        out: np.ndarray | None = None):
@@ -224,8 +226,8 @@ class BPChainMLP:
         of one flat vector laid out like `params`: `out` when given, else a
         fresh one, so an earlier call's gradients are never overwritten."""
         labels = np.asarray(labels, dtype=np.int64)
-        acts, logits = self._forward(x)
-        _, loss, delta = softmax_xent(logits, labels)
+        acts = list(self._activations(x))
+        _, loss, delta = softmax_xent(self._logits(acts[-1]), labels)
         delta /= len(labels)
         grad = np.empty_like(self.params) if out is None else out
         w_grads, b_grads = self._layers(grad)
@@ -248,8 +250,11 @@ class BPChainMLP:
         adam_step(self.params, grad, self.adam)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        _, logits = self._forward(np.asarray(features, dtype=np.float64))
-        return np.argmax(logits, axis=1)
+        """Argmax of the logits, holding only the current layer's
+        activation: backprop's per-layer activations are not needed."""
+        for h in self._activations(np.asarray(features, dtype=np.float64)):
+            pass
+        return np.argmax(self._logits(h), axis=1)
 
 
 def bp_chain_baseline(cfg: TrainConfig, train: Dataset,

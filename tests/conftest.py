@@ -1,6 +1,7 @@
 import gzip
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,3 +122,14 @@ def central_diff(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def peak_bytes(fn, *args):
+    """Peak bytes that `tracemalloc` sees allocated while fn(*args) runs,
+    counting what the call returns; numpy reports its array buffers."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

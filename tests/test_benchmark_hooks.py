@@ -71,13 +71,13 @@ def test_training_spans_record_calls(bench):
                       ("network.predict", "rows"),
                       ("training.evaluate", "rows")):
         assert tracer.stats[name].counts[key] > 0, name
-    # One norm pass per neuron forward; the FF loss stacks its positive and
-    # negative rows, so it makes one for the forward and one for the
-    # gradient. The zero-state round runs through the same two functions.
+    # One norm pass per neuron forward. The FF loss computes its input's
+    # row norms once, for the forward and the gradient, without going
+    # through `l2_normalize_rows`. The zero-state round runs through the
+    # same two functions.
     calls = {name: tracer.stats[name].calls
              for name in ("numerics.l2_normalize_rows",
                           "neuron.neuron_forward",
                           "neuron.ff_loss_grad_outputs")}
     assert calls["numerics.l2_normalize_rows"] == (
-        calls["neuron.neuron_forward"]
-        + 2 * calls["neuron.ff_loss_grad_outputs"]), calls
+        calls["neuron.neuron_forward"]), calls

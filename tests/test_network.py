@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (OVERSIZED_CHECKPOINT, UNRUNNABLE_CHECKPOINTS,
-                      central_diff, chain_checkpoint, rel_err)
+                      central_diff, chain_checkpoint, peak_bytes, rel_err)
 from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate, predecessors
 import cyclicff.network as network_module
@@ -451,6 +451,47 @@ class TestTrainIteration:
         self.assert_same_net(net, before)
 
 
+class TestAdamMoments:
+    """A parameter holds Adam moments only once it has taken a step."""
+
+    @staticmethod
+    def states(net):
+        return net.neuron_adam + [net.readout_adam]
+
+    def test_built_and_loaded_nets_hold_no_moments(self, tmp_path):
+        net = small_net()
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        for n in (net, load_checkpoint(path)):
+            assert all(s.m is None and s.v is None for s in self.states(n))
+
+    @pytest.mark.parametrize("freeze_neurons", [False, True],
+                             ids=["step", "frozen"])
+    def test_first_step_allocates_moments_like_params(self, freeze_neurons):
+        net = small_net("ws", 6, seed=2)
+        train_iteration(net, fused_batch(net), freeze_neurons=freeze_neurons)
+        for p, s in zip(net.neurons, net.neuron_adam):
+            if freeze_neurons:
+                assert s.m is None and s.v is None
+            else:
+                assert s.m.shape == s.v.shape == p.W.shape
+        r = net.readout_adam
+        assert r.m.shape == r.v.shape == net.readout_W.shape
+
+    def test_lazy_moments_equal_explicit_zeros(self):
+        net = small_net(weight_decay=1e-2)
+        ref = copy.deepcopy(net)
+        for p, s in zip([q.W for q in ref.neurons] + [ref.readout_W],
+                        self.states(ref)):
+            s.m, s.v = np.zeros_like(p), np.zeros_like(p)
+        for seed in range(3):
+            fb = fused_batch(net, seed=seed)
+            train_iteration(net, fb)
+            train_iteration(ref, fb)
+        TestTrainIteration.assert_same_net(net, ref)
+        assert all(s.t == 3 * net.T for s in net.neuron_adam)
+
+
 class TestPredict:
     def test_zero_readout_ties_to_class_zero(self):
         net = small_net()
@@ -624,6 +665,19 @@ class TestCheckpoint:
         assert np.all(np.isfinite(losses)) and np.isfinite(r_loss)
         for old, p in zip(before, loaded.neurons):
             assert not np.array_equal(old, p.W)
+
+    def test_load_holds_under_twice_the_weights(self, tmp_path):
+        # The loaded weights, plus one matrix's read buffer; no moments.
+        net = small_net(base_dim=200, d_out=50, n_classes=10)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        weights = sum(p.W.nbytes for p in net.neurons) + net.readout_W.nbytes
+        assert peak_bytes(load_checkpoint, path) < 2 * weights
+
+    def test_save_copies_no_weight_matrix(self, tmp_path):
+        net = small_net(base_dim=200, d_out=50, n_classes=10)
+        largest = max(p.W.nbytes for p in net.neurons)
+        assert peak_bytes(save_checkpoint, net, tmp_path / "net.ckpt") < largest
 
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("part,message", [

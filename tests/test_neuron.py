@@ -195,23 +195,19 @@ class TestFFLoss:
         np.testing.assert_array_equal(before[1], after[1])
 
 
-def adam_for(p, lr=1e-3):
-    return AdamState.for_param(p.W, lr=lr)
-
-
 class TestNeuronStep:
     """The neuron's W under the Adam step the network applies to it."""
 
     def test_zero_grad_no_op(self):
         p = make_neuron(np.eye(3))
         W0 = p.W.copy()
-        adam_step(p.W, np.zeros((3, 3)), adam_for(p))
+        adam_step(p.W, np.zeros((3, 3)), AdamState())
         np.testing.assert_array_equal(p.W, W0)
 
     def test_descent_on_fixed_batch(self):
         rng = make_rng(2, 0)
         p = init_neuron(6, 4, 1.0, rng)
-        adam = adam_for(p, lr=1e-3)
+        adam = AdamState(lr=1e-3)
         pos = rng.standard_normal((8, 6)) + 2.0
         neg = rng.standard_normal((8, 6))
         losses = []
@@ -225,7 +221,7 @@ class TestNeuronStep:
         # Pos/neg differ in their label block: loss below 0.1 in 500 steps.
         rng = make_rng(3, 0)
         p = init_neuron(10, 16, 1.0, rng)
-        adam = adam_for(p, lr=1e-2)
+        adam = AdamState(lr=1e-2)
         feats = rng.standard_normal((32, 8))
         pos = np.hstack([feats, np.tile([1.0, 0.0], (32, 1))])
         neg = np.hstack([feats, np.tile([0.0, 1.0], (32, 1))])
@@ -239,7 +235,7 @@ class TestNeuronStep:
         def run():
             rng = make_rng(4, 0)
             p = init_neuron(5, 3, 1.0, rng)
-            adam = adam_for(p)
+            adam = AdamState()
             pos = rng.standard_normal((4, 5))
             neg = rng.standard_normal((4, 5))
             for _ in range(3):

@@ -132,7 +132,7 @@ class TestAdam:
     def test_zero_grad_no_op(self):
         p = np.array([[1.0, -2.0]])
         p0 = p.copy()
-        state = AdamState.for_param(p)
+        state = AdamState()
         adam_step(p, np.zeros_like(p), state)
         np.testing.assert_array_equal(p, p0)
 
@@ -140,7 +140,7 @@ class TestAdam:
         # Fresh state, grad 1: bias-corrected m_hat = v_hat = 1, so the step
         # is lr * 1 / (1 + eps) ~= lr.
         p = np.array([0.0])
-        state = AdamState.for_param(p, lr=1e-3)
+        state = AdamState(lr=1e-3)
         adam_step(p, np.array([1.0]), state)
         assert p[0] == pytest.approx(-1e-3, rel=1e-6)
         assert state.t == 1
@@ -151,7 +151,7 @@ class TestAdam:
         g = rng.standard_normal((4, 3))
 
         def run():
-            state = AdamState.for_param(p, lr=0.01, weight_decay=1e-4)
+            state = AdamState(lr=0.01, weight_decay=1e-4)
             q = p.copy()
             adam_step(q, g, state)
             adam_step(q, g, state)
@@ -161,19 +161,19 @@ class TestAdam:
 
     def test_lr_zero_leaves_params(self):
         p = np.array([1.0, 2.0])
-        state = AdamState.for_param(p, lr=0.0)
+        state = AdamState(lr=0.0)
         adam_step(p, np.array([5.0, -3.0]), state)
         np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_weight_decay_pulls_toward_zero(self):
         p = np.array([10.0])
-        state = AdamState.for_param(p, lr=1e-3, weight_decay=1e-2)
+        state = AdamState(lr=1e-3, weight_decay=1e-2)
         adam_step(p, np.zeros(1), state)
         assert p[0] < 10.0
 
     def test_shape_mismatch(self):
         p = np.zeros((2, 2))
-        state = AdamState.for_param(p)
+        state = AdamState()
         with pytest.raises(ValueError):
             adam_step(p, np.zeros((2, 3)), state)
 
@@ -181,7 +181,7 @@ class TestAdam:
     def test_bitwise_textbook_formula(self, weight_decay):
         rng = make_rng(8, 0)
         p = rng.standard_normal((6, 5))
-        state = AdamState.for_param(p, lr=0.01, weight_decay=weight_decay)
+        state = AdamState(lr=0.01, weight_decay=weight_decay)
         q, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
         for t in range(1, 6):
             g = rng.standard_normal(p.shape)
@@ -199,7 +199,7 @@ class TestAdam:
     def test_moments_in_place_and_copy_independent(self):
         rng = make_rng(9, 0)
         p = rng.standard_normal((3, 4))
-        state = AdamState.for_param(p)
+        state = AdamState()
         adam_step(p, rng.standard_normal(p.shape), state)
         m, v = state.m, state.v
         snap = copy.deepcopy(state)
@@ -214,7 +214,7 @@ class TestAdam:
 
     def test_nonfinite_grad(self):
         p = np.zeros(2)
-        state = AdamState.for_param(p)
+        state = AdamState()
         with pytest.raises(ValueError):
             adam_step(p, np.array([np.inf, 0.0]), state)
 
@@ -226,7 +226,7 @@ class TestAdam:
         # update that runs over blocks, on either side of a block boundary.
         rng = make_rng(10, 0)
         p = rng.standard_normal(size)
-        state = AdamState.for_param(p, lr=0.01, weight_decay=weight_decay)
+        state = AdamState(lr=0.01, weight_decay=weight_decay)
         q, m, v = p.copy(), np.zeros(size), np.zeros(size)
         for t in range(1, 4):
             g = rng.standard_normal(size)
@@ -242,13 +242,13 @@ class TestAdam:
 
     def test_nonfinite_grad_in_a_later_block_changes_nothing(self):
         p = np.ones(2 * ADAM_BLOCK + 3)
-        state = AdamState.for_param(p)
+        state = AdamState()
         g = np.ones_like(p)
         g[-1] = np.nan
         with pytest.raises(ValueError, match="non-finite gradient"):
             adam_step(p, g, state)
         assert state.t == 0 and (p == 1.0).all()
-        assert not state.m.any() and not state.v.any()
+        assert state.m is None and state.v is None
 
     @pytest.mark.parametrize("which", ["params", "m", "v"])
     def test_non_contiguous_rejected(self, which):

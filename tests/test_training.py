@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, peak_bytes, rel_err
 from cyclicff import cli
 from cyclicff.data import split, synth_blobs
 from cyclicff.graph import GeneratorSpec
@@ -144,7 +144,6 @@ class TestBPChainBaseline:
         x = rng.standard_normal((10, 6))
         labels = rng.integers(0, 3, size=10)
         # Skip kink-adjacent pre-activations for clean finite differences.
-        acts, _ = model._forward(x)
         a = x
         for w, b in zip(model.weights[:-1], model.biases[:-1]):
             z = a @ w.T + b
@@ -220,8 +219,8 @@ class TestBPChainBaseline:
     @pytest.mark.parametrize("part", ["weights", "biases"])
     def test_step_rejects_a_rebound_layer(self, part):
         # A rebound layer is no longer a view of `params`, so a step would
-        # move `params` and the Adam moments but not the array `_forward`
-        # reads.
+        # move `params` and the Adam moments but not the array the forward
+        # pass reads.
         model = BPChainMLP(dim=4, width=3, n_classes=2, rng=make_rng(4, 0))
         layers = getattr(model, part)
         layers[2] = layers[2].copy()
@@ -230,6 +229,17 @@ class TestBPChainBaseline:
             model.step(np.ones_like(model.params))
         np.testing.assert_array_equal(model.params, before)
         assert model.adam.t == 0
+
+    def test_predict_holds_one_layer_at_a_time(self):
+        # Bitwise the training forward's argmax, in under 4 activations.
+        rng = make_rng(5, 0)
+        model = BPChainMLP(dim=64, width=200, n_classes=10, rng=rng)
+        x = rng.standard_normal((2000, 64))
+        activation = x.shape[0] * 200 * 8
+        assert peak_bytes(model.predict, x) < 4 * activation
+        acts = list(model._activations(x))
+        np.testing.assert_array_equal(
+            model.predict(x), np.argmax(model._logits(acts[-1]), axis=1))
 
     def test_gradients_of_two_calls_do_not_alias(self):
         rng = make_rng(3, 0)
