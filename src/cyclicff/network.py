@@ -9,6 +9,7 @@ order, which is the property cyclic topologies need for reproducibility.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import partial
@@ -16,11 +17,12 @@ from functools import partial
 import numpy as np
 
 from .data import (FusionMode, FusedBatch, check_labels, neutral_fusion,
-                   read_exact, read_struct)
+                   read_struct)
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
                      ff_loss_grad_outputs)
-from .numerics import AdamState, adam_step, softmax_xent
+from .numerics import (EPS_NORM, AdamState, adam_step, relu, row_norms,
+                       softmax_xent)
 
 CHECKPOINT_MAGIC = b"CNN1"
 CHECKPOINT_VERSION = 2
@@ -266,12 +268,50 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
     for start, stop in _row_blocks(len(features), PREDICT_BLOCK_ROWS):
         h_neu = neutral_fusion(features[start:stop], net.n_classes,
                                net.fusion)
-        outputs = None
-        for _ in range(net.T):
-            outputs = forward_round(net, h_neu, outputs)
-        logits = np.concatenate(outputs, axis=1) @ net.readout_W.T
+        # Unnamed, so no block's outputs are held while the next one runs.
+        logits = np.concatenate(_neutral_rounds(net, h_neu),
+                                axis=1) @ net.readout_W.T
         preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds)
+
+
+def _neutral_rounds(net: CyclicNet, fused: np.ndarray) -> list[np.ndarray]:
+    """Every neuron's output after T frozen rounds of one fused stream,
+    from the zero state.
+
+    The fused stream and every W are fixed for all T rounds, so each
+    neuron's product with its fused-input columns, B = F Wf^T, and the
+    stream's squared row norms s = ||F||^2 are computed once. Round 1 is
+    relu(B / row_norms(F)), bit for bit `forward_round(net, F, None)`.
+    Each later round adds only the predecessor part: with O the
+    predecessors' previous-round outputs in ascending order,
+    z = (B + O Wp^T) / max(sqrt(s + ||O||^2), 1e-8). That is the full-width
+    round summed in another order, so its outputs can differ from
+    `forward_round`'s in the last bits. A neuron without predecessors
+    keeps its round-1 output.
+    """
+    base = net.base_dim
+    norms = row_norms(fused)[:, None]
+    fused_part = [fused @ p.W[:, :base].T for p in net.neurons]
+    outputs = [relu(b / norms) for b in fused_part]
+    with np.errstate(over="ignore"):  # as in row_norms
+        sq = np.vecdot(fused, fused)
+    for _ in range(net.T - 1):
+        new = []
+        for p, preds, b, out in zip(net.neurons, net.preds, fused_part,
+                                    outputs):
+            if not preds:
+                new.append(out)
+                continue
+            o = np.concatenate([outputs[i] for i in preds], axis=1)
+            # In place: fresh (rows x d_out) temporaries cost page faults
+            # that, on narrow nets, outweigh the saved columns.
+            z = o @ p.W[:, base:].T
+            z += b
+            z /= np.maximum(np.sqrt(sq + np.vecdot(o, o)), EPS_NORM)[:, None]
+            new.append(np.maximum(z, 0.0, out=z))
+        outputs = new
+    return outputs
 
 
 def save_checkpoint(net: CyclicNet, path) -> None:
@@ -302,11 +342,22 @@ def load_checkpoint(path) -> CyclicNet:
     topology, is a ValueError. The Adam states start fresh: moments are not
     saved, and none are held until the net trains."""
     def matrix(rows, cols, what):
-        raw = read_exact(f, rows * cols * dtype.itemsize, "checkpoint")
-        W = np.frombuffer(raw, dtype=dtype)
+        # Read straight into the stored type's array, allocated only once
+        # the file is known to hold it; a version-2 matrix is then already
+        # the float64 it is returned as, and only version 1 is widened.
+        size = rows * cols * dtype.itemsize
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if size > left:
+            raise ValueError(
+                f"checkpoint: truncated, {left} of {size} bytes left")
+        W = np.empty((rows, cols), dtype)
+        got = f.readinto(W)
+        if got != size:
+            raise ValueError(
+                f"checkpoint: truncated, {got} of {size} bytes read")
         if not np.isfinite(W).all():
             raise ValueError(f"checkpoint: {what} W is not finite")
-        return W.astype(np.float64).reshape(rows, cols)
+        return W.astype(np.float64, copy=False)
 
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:

@@ -32,7 +32,12 @@ def test_install_and_uninstall(bench):
         net = network.build_network(
             graph.generate(GeneratorSpec("complete", 3)), 7, 4, 3, 1.0, 2,
             make_rng(0, "weights"))
-        network.predict(net, make_rng(0, 0).standard_normal((5, 4)))
+        features = make_rng(0, 0).standard_normal((5, 4))
+        network.predict(net, features)
+        # predict runs its own round kernel; the neuron functions are
+        # reached through a forward round.
+        network.forward_round(
+            net, data.neutral_fusion(features, 3, net.fusion), None)
     finally:
         tracer.uninstall()
     for name in ("network.predict", "data.neutral_fusion",

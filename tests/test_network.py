@@ -15,7 +15,8 @@ from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate, predecessors
 import cyclicff.network as network_module
 from cyclicff.network import (MAX_T, PREDICT_BLOCK_ROWS, CyclicNet,
-                              _round_input, build_network, forward_round, load_checkpoint,
+                              _neutral_rounds, _round_input, build_network,
+                              forward_round, load_checkpoint,
                               predict, propagate_step,
                               readout_forward_loss_grad, save_checkpoint,
                               train_iteration, zero_state)
@@ -82,6 +83,15 @@ def train_iteration_explicit_zeros(net, fused, narrow_zero_state=False,
         net, neu, fused.true_labels)
     adam_step(net.readout_W, readout_grad, net.readout_adam)
     return loss_sums / net.T, readout_loss
+
+
+def forward_round_logits(net, fused):
+    """Reference predict block: T full-width `forward_round`s from the zero
+    state. Returns (round-1 outputs, logits after round T)."""
+    first = outputs = forward_round(net, fused, None)
+    for _ in range(net.T - 1):
+        outputs = forward_round(net, fused, outputs)
+    return first, np.concatenate(outputs, axis=1) @ net.readout_W.T
 
 
 def assert_close_to_largest(got, want, rtol=1e-12):
@@ -546,6 +556,59 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(net, np.zeros((2, net.raw_dim + 1)))
 
+    @pytest.mark.parametrize("T", [1, 2, 3, 8])
+    @pytest.mark.parametrize("fusion", ["concat", "overlay"])
+    @pytest.mark.parametrize("kind,n", [("chain", 4), ("cycle", 4),
+                                        ("complete", 4), ("ws", 6),
+                                        ("ba", 5)])
+    def test_round_kernel_matches_forward_round(self, kind, n, fusion, T):
+        # Round 1 is bitwise the zero-state round. Later rounds sum the
+        # fused and predecessor parts separately, so they agree to within
+        # rounding, and only a near-tie row's prediction could differ.
+        net = small_net(kind, n, T=T, seed=n, fusion=FusionMode(fusion))
+        net.readout_W = make_rng(n, 7).standard_normal(net.readout_W.shape)
+        feats = make_rng(n, 0).standard_normal((40, net.raw_dim))
+        fused = neutral_fusion(feats, net.n_classes, net.fusion)
+        first, want = forward_round_logits(net, fused)
+
+        one_round = _neutral_rounds(dataclasses.replace(net, T=1), fused)
+        for got_j, want_j in zip(one_round, first):
+            np.testing.assert_array_equal(got_j, want_j)
+        got = np.concatenate(_neutral_rounds(net, fused), axis=1) @ (
+            net.readout_W.T)
+        if T == 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert_close_to_largest(got, want)
+        top2 = np.sort(want, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 1e-9
+        np.testing.assert_array_equal(predict(net, feats)[clear],
+                                      np.argmax(want, axis=1)[clear])
+
+    @pytest.mark.parametrize("T", [4, 7])
+    def test_chain_reduces_to_sequential_mlp(self, T):
+        # With T >= n rounds a chain's outputs are a layer-by-layer pass;
+        # the head has no predecessors, so its output is exact.
+        n = 4
+        net = small_net("chain", n, T=T)
+        fused = neutral_fusion(make_rng(1, 0).standard_normal(
+            (6, net.raw_dim)), net.n_classes, net.fusion)
+        outputs = _neutral_rounds(net, fused)
+        seq = neuron_forward(net.neurons[0], fused)
+        np.testing.assert_array_equal(outputs[0], seq)
+        for j in range(1, n):
+            seq = neuron_forward(net.neurons[j], np.hstack([fused, seq]))
+            assert_close_to_largest(outputs[j], seq)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        # The fused stream's row norms check it, as in `forward_round`.
+        net = small_net()
+        feats = make_rng(0, 0).standard_normal((5, net.raw_dim))
+        feats[3, 2] = bad
+        with pytest.raises(ValueError, match="row_norms: non-finite input"):
+            predict(net, feats)
+
 
 class TestCheckpoint:
     def test_round_trip_inference_exact(self, tmp_path):
@@ -673,6 +736,15 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         weights = sum(p.W.nbytes for p in net.neurons) + net.readout_W.nbytes
         assert peak_bytes(load_checkpoint, path) < 2 * weights
+
+    def test_load_reads_each_matrix_in_place(self, tmp_path):
+        # A version-2 matrix is read into its final float64 array, so a
+        # load holds the weights and little else.
+        net = small_net(base_dim=200, d_out=50, n_classes=10)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        weights = sum(p.W.nbytes for p in net.neurons) + net.readout_W.nbytes
+        assert peak_bytes(load_checkpoint, path) < 1.1 * weights
 
     def test_save_copies_no_weight_matrix(self, tmp_path):
         net = small_net(base_dim=200, d_out=50, n_classes=10)
