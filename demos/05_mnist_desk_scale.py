@@ -5,13 +5,11 @@ Needs the canonical IDX files; point CYCLIC_FF_DATA_DIR at a directory
 containing train-images-idx3-ubyte(.gz) etc. The same run is available from
 the command line:
 
-    cyclicff train --set dataset=mnist --set max_epochs=6
+    cyclicff train --set dataset=mnist --set fusion=overlay --set max_epochs=6
 """
 
 import os
 import sys
-
-import numpy as np
 
 from cyclicff.data import FusionMode, load_mnist_idx
 from cyclicff.graph import GeneratorSpec
@@ -31,8 +29,9 @@ def find(*names):
 
 full = load_mnist_idx(find("train-images-idx3-ubyte", "train-images-idx3-ubyte.gz"),
                       find("train-labels-idx1-ubyte", "train-labels-idx1-ubyte.gz"))
-train = full.subset(np.arange(0, 50000))
-val = full.subset(np.arange(50000, full.n_samples))
+# Slices, not index arrays, so both parts share `full`'s memory.
+train = full.subset(slice(0, 50000))
+val = full.subset(slice(50000, None))
 test = load_mnist_idx(find("t10k-images-idx3-ubyte", "t10k-images-idx3-ubyte.gz"),
                       find("t10k-labels-idx1-ubyte", "t10k-labels-idx1-ubyte.gz"))
 

@@ -39,6 +39,10 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
+        if (np.ndim(self.features), np.ndim(self.labels)) != (2, 1):
+            raise ValueError("Dataset: need 2-D features and 1-D labels, got "
+                             f"shapes {np.shape(self.features)} and "
+                             f"{np.shape(self.labels)}")
         if len(self.labels) != len(self.features):
             raise ValueError("Dataset: feature/label count mismatch")
         check_labels(self.labels, self.n_classes, "Dataset")
@@ -129,66 +133,74 @@ def neutral_fusion(features: np.ndarray, n_classes: int,
     return _fuse(features, neu, mode)
 
 
-def _open_maybe_gzip(path):
-    with open(path, "rb") as f:
-        head = f.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+# Largest piece `read_array` asks of a stream at once; a gzip stream
+# decompresses each piece into temporaries about 3 times its size.
+READ_PIECE = 1 << 16
 
 
-def read_exact(f, n: int, what: str) -> bytes:
-    """The next n bytes of a `what` file; ValueError if it ends first.
+def read_array(f, shape, dtype, what: str) -> np.ndarray:
+    """The next array of `shape` and `dtype` from a `what` file, read
+    straight into its buffer; ValueError if the file ends first.
 
-    No piece asked of `f.read` is larger than what the file has already
-    given (or 1 MiB), so a header that claims more bytes than the file
-    holds fails on the bytes that exist, also for a gzip stream whose
-    length is not known up front.
+    The buffer grows in place as bytes arrive, never past twice what has
+    been read (or READ_PIECE), so a header that claims more than the file
+    holds fails on the bytes that exist, also for a pipe or gzip stream.
     """
-    parts, got = [], 0
+    dtype = np.dtype(dtype)
+    n = math.prod(shape) * dtype.itemsize
+    buf = np.empty(min(n, READ_PIECE), np.uint8)
+    got = 0
     while got < n:
-        part = f.read(min(n - got, max(got, 1 << 20)))
-        if not part:
+        if got == len(buf):
+            buf.resize(min(n, 2 * got), refcheck=False)
+        # Released before any resize, which does not check for live views.
+        with memoryview(buf)[got:got + READ_PIECE] as piece:
+            k = f.readinto(piece)
+        if not k:
             raise ValueError(f"{what}: truncated, {got} of {n} bytes read")
-        parts.append(part)
-        got += len(part)
-    return b"".join(parts)
+        got += k
+    return buf.view(dtype).reshape(shape)
 
 
 def read_struct(f, fmt: str, what: str) -> tuple:
     """The next `struct` record of format `fmt` from a `what` file."""
-    return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), what))
+    n = struct.calcsize(fmt)
+    raw = f.read(n)
+    if len(raw) < n:
+        raise ValueError(f"{what}: truncated, {len(raw)} of {n} bytes read")
+    return struct.unpack(fmt, raw)
 
 
-def _read_idx(path, magic: int, n_sizes: int, what: str):
-    """(sizes, payload bytes) of a big-endian IDX file of unsigned bytes with
-    `n_sizes` dimension sizes, plain or gzip; nothing may follow the data.
+def _read_idx(path, magic: int, n_sizes: int, what: str) -> np.ndarray:
+    """The uint8 payload, shaped by its `n_sizes` dimension sizes, of a
+    big-endian IDX file, plain or gzip; nothing may follow the data.
     A cut or corrupt gzip stream is a ValueError like any malformed file."""
     try:
-        with _open_maybe_gzip(path) as f:
-            got, *sizes = read_struct(f, ">" + "I" * (1 + n_sizes), what)
-            if got != magic:
-                raise ValueError(f"{what}: bad magic {got}")
-            raw = read_exact(f, math.prod(sizes), what)
-            if f.read(1):
-                raise ValueError(f"{what}: trailing bytes after the data")
+        with open(path, "rb") as raw:
+            # Peeked, not read, so that a pipe loses no byte. GzipFile does
+            # not close the file it is given, and `raw` closes twice safely.
+            gz = raw.peek(2)[:2] == b"\x1f\x8b"
+            with (gzip.GzipFile(fileobj=raw) if gz else raw) as f:
+                got, *sizes = read_struct(f, ">" + "I" * (1 + n_sizes), what)
+                if got != magic:
+                    raise ValueError(f"{what}: bad magic {got}")
+                payload = read_array(f, sizes, np.uint8, what)
+                if f.read(1):
+                    raise ValueError(f"{what}: trailing bytes after the data")
     except (EOFError, gzip.BadGzipFile, zlib.error) as e:
         raise ValueError(f"{what}: {e}") from None
-    return sizes, raw
+    return payload
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Load the big-endian IDX image/label pair; pixels scaled to [0, 1]."""
-    (count, rows, cols), raw = _read_idx(images_path, MNIST_IMAGE_MAGIC, 3,
-                                         "IDX images")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    (label_count,), raw = _read_idx(labels_path, MNIST_LABEL_MAGIC, 1,
-                                    "IDX labels")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    if count != label_count:
-        raise ValueError(
-            f"IDX: {count} images but {label_count} labels")
-    return Dataset(images.astype(np.float64) / 255.0, labels,
+    images = _read_idx(images_path, MNIST_IMAGE_MAGIC, 3, "IDX images")
+    labels = _read_idx(labels_path, MNIST_LABEL_MAGIC, 1, "IDX labels")
+    count, rows, cols = images.shape
+    if count != len(labels):
+        raise ValueError(f"IDX: {count} images but {len(labels)} labels")
+    return Dataset(images.reshape(count, rows * cols).astype(np.float64)
+                   / 255.0, labels.astype(np.int64),
                    n_classes=10, name="mnist")
 
 
@@ -206,16 +218,14 @@ def load_embeddings(path) -> Dataset:
         version, n, dim, n_classes = read_struct(f, "<IIII", "embeddings")
         if version != EMBEDDING_VERSION:
             raise ValueError(f"embeddings: unsupported version {version}")
-        feat_raw = read_exact(f, n * dim * 4, "embeddings")
-        label_raw = read_exact(f, n * 2, "embeddings")
+        features = read_array(f, (n, dim), "<f4", "embeddings")
+        labels = read_array(f, (n,), "<u2", "embeddings")
         if f.read(1):
             raise ValueError("embeddings: trailing bytes after the labels")
-        features = np.frombuffer(feat_raw, dtype="<f4")
-        if not np.isfinite(features).all():
-            raise ValueError("embeddings: non-finite features")
-        features = features.astype(np.float64)
-        labels = np.frombuffer(label_raw, dtype="<u2").astype(np.int64)
-    return Dataset(features.reshape(n, dim), labels, n_classes, name="embeddings")
+    if not np.isfinite(features).all():
+        raise ValueError("embeddings: non-finite features")
+    return Dataset(features.astype(np.float64), labels.astype(np.int64),
+                   n_classes, name="embeddings")
 
 
 def save_embeddings(d: Dataset, path) -> None:
@@ -225,15 +235,15 @@ def save_embeddings(d: Dataset, path) -> None:
     if d.n_samples and int(d.labels.max()) > 0xFFFF:
         raise ValueError("save_embeddings: label above 65535")
     with np.errstate(over="ignore"):
-        features = d.features.astype("<f4")
+        features = d.features.astype("<f4", order="C")
     if not np.isfinite(features).all():
         raise ValueError("save_embeddings: feature not finite in float32")
     with open(path, "wb") as f:
         f.write(EMBEDDING_MAGIC)
         f.write(struct.pack("<IIII", EMBEDDING_VERSION, d.n_samples,
                             d.dim, d.n_classes))
-        f.write(features.tobytes())
-        f.write(d.labels.astype("<u2").tobytes())
+        f.write(features)
+        f.write(d.labels.astype("<u2", order="C"))
 
 
 def synth_blobs(n_per_class: int, dim: int, n_classes: int,

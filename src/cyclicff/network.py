@@ -9,7 +9,6 @@ order, which is the property cyclic topologies need for reproducibility.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 from functools import partial
@@ -17,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .data import (FusionMode, FusedBatch, check_labels, neutral_fusion,
-                   read_struct)
+                   read_array, read_struct)
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
                      ff_loss_grad_outputs)
@@ -342,19 +341,9 @@ def load_checkpoint(path) -> CyclicNet:
     topology, is a ValueError. The Adam states start fresh: moments are not
     saved, and none are held until the net trains."""
     def matrix(rows, cols, what):
-        # Read straight into the stored type's array, allocated only once
-        # the file is known to hold it; a version-2 matrix is then already
-        # the float64 it is returned as, and only version 1 is widened.
-        size = rows * cols * dtype.itemsize
-        left = os.fstat(f.fileno()).st_size - f.tell()
-        if size > left:
-            raise ValueError(
-                f"checkpoint: truncated, {left} of {size} bytes left")
-        W = np.empty((rows, cols), dtype)
-        got = f.readinto(W)
-        if got != size:
-            raise ValueError(
-                f"checkpoint: truncated, {got} of {size} bytes read")
+        # Read into an array of the stored type: a version-2 matrix is
+        # already the float64 returned, and only version 1 is widened.
+        W = read_array(f, (rows, cols), dtype, "checkpoint")
         if not np.isfinite(W).all():
             raise ValueError(f"checkpoint: {what} W is not finite")
         return W.astype(np.float64, copy=False)

@@ -1,6 +1,8 @@
+import contextlib
 import gzip
 import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -133,3 +135,41 @@ def peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def fifo_serving(path, data: bytes):
+    """A named pipe at `path` that a writer thread fills with `data` once,
+    for a reader that must not seek or reopen its file. A reader that opens
+    it again gets an empty stream, so it fails rather than blocks. Skips
+    the test where `os.mkfifo` is missing."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("named pipes (os.mkfifo) not available")
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def write():
+        try:
+            with open(path, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+        while not done.wait(0.01):
+            try:  # a write end opened and closed: an empty stream
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader is waiting
+                pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        done.set()
+        try:
+            # A reader that never opened the pipe leaves the writer blocked
+            # in `open`; a read end opened and closed here releases it.
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive(), "fifo writer still blocked"

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (OVERSIZED_CHECKPOINT, OVERSIZED_EMBEDDINGS,
                       UNRUNNABLE_CHECKPOINTS, chain_checkpoint,
-                      write_idx_images, write_idx_labels)
+                      fifo_serving, write_idx_images, write_idx_labels)
 from cyclicff import cli
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
                           effective_config, main, parse_config_file,
@@ -535,6 +535,18 @@ class TestEvalCommand:
         write("train")
         assert run_cli(args) == 0
         assert capsys.readouterr().out == alone
+
+    def test_checkpoint_from_pipe(self, cfg_path, tmp_path, capsys):
+        net = build_network(generate(GeneratorSpec("complete", 3)), 8 + 2,
+                            8, 2, 1.0, 2, make_rng(0, "weights"))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        args = ["eval", "--config", cfg_path, "--checkpoint"]
+        assert run_cli(args + [str(path)]) == 0
+        from_file = capsys.readouterr().out
+        with fifo_serving(tmp_path / "net.fifo", path.read_bytes()) as pipe:
+            assert run_cli(args + [str(pipe)]) == 0
+        assert capsys.readouterr().out == from_file
 
     @pytest.mark.parametrize("override,message", [
         ("synth_dim=9", "dim 9, the checkpoint expects 8"),

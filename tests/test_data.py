@@ -1,16 +1,18 @@
 import copy
 import gzip
+import io
 import re
 import struct
 
 import numpy as np
 import pytest
 
-from conftest import (OVERSIZED_EMBEDDINGS, write_idx_images,
-                      write_idx_labels)
-from cyclicff.data import (Dataset, FusionMode, fuse_inputs, iter_batches,
-                           load_embeddings, load_mnist_idx, neutral_fusion,
-                           save_embeddings, split, synth_blobs)
+from conftest import (OVERSIZED_EMBEDDINGS, fifo_serving, peak_bytes,
+                      write_idx_images, write_idx_labels)
+from cyclicff.data import (READ_PIECE, Dataset, FusionMode, fuse_inputs,
+                           iter_batches, load_embeddings, load_mnist_idx,
+                           neutral_fusion, read_array, save_embeddings,
+                           split, synth_blobs)
 from cyclicff.numerics import make_rng
 
 
@@ -24,6 +26,86 @@ class TestDataset:
     def test_label_out_of_range(self, label):
         with pytest.raises(ValueError, match="out of range"):
             Dataset(np.zeros((2, 4)), np.array([0, label]), 3)
+
+    def test_labels_must_be_1d(self):
+        # A column of labels would broadcast `preds != labels` to n x n.
+        with pytest.raises(ValueError, match=re.escape(
+                "Dataset: need 2-D features and 1-D labels, got shapes "
+                "(4, 3) and (4, 1)")):
+            Dataset(np.zeros((4, 3)), np.array([[0], [1], [0], [1]]), 2)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3, 1)])
+    def test_features_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                "Dataset: need 2-D features and 1-D labels, got shapes "
+                f"{shape} and (4,)")):
+            Dataset(np.zeros(shape), np.array([0, 1, 0, 1]), 2)
+
+
+class TrickleStream(io.RawIOBase):
+    """A stream that gives at most `step` bytes per read, like a pipe."""
+
+    def __init__(self, data: bytes, step: int):
+        self.data, self.pos, self.step = data, 0, step
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        k = min(len(b), self.step, len(self.data) - self.pos)
+        b[:k] = self.data[self.pos:self.pos + k]
+        self.pos += k
+        return k
+
+
+class TestReadArray:
+    @pytest.mark.parametrize("dtype", ["u1", "<u2", "<f4", "<f8"])
+    @pytest.mark.parametrize("step", [1, 7])
+    def test_short_reads_give_the_stored_array(self, dtype, step):
+        want = make_rng(3, 0).integers(0, 200, (5, 6)).astype(dtype)
+        stream = TrickleStream(want.tobytes() + b"tail", step)
+        got = read_array(stream, (5, 6), dtype, "x")
+        assert got.dtype == np.dtype(dtype) and got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+        assert stream.read() == b"tail"
+
+    def test_crosses_pieces_and_growth(self):
+        want = make_rng(4, 0).integers(0, 256, 40 * READ_PIECE + 5,
+                                       dtype=np.uint8)
+        got = read_array(TrickleStream(want.tobytes(), 100_003),
+                         (len(want),), np.uint8, "x")
+        np.testing.assert_array_equal(got, want)
+
+    def test_claim_beyond_stream_holds_at_most_twice_what_arrived(self):
+        # The buffer grows only as bytes arrive, so a header claiming a
+        # terabyte costs what the file holds, not what it claims.
+        data = bytes(3 * READ_PIECE + 1)
+
+        def read():
+            with pytest.raises(ValueError, match=(
+                    f"x: truncated, {len(data)} of {2**40} bytes read")):
+                read_array(io.BytesIO(data), (2**40,), np.uint8, "x")
+
+        assert peak_bytes(read) < 2 * len(data)
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+    def test_holds_the_payload_once(self, tmp_path, gz):
+        # 8 MiB of float32; the peak counts the returned array, and for a
+        # gzip stream one piece's temporaries and the decompressor's state.
+        want = (np.arange(8 << 18) % 251).astype("<f4").reshape(-1, 1024)
+        path = tmp_path / "payload"
+
+        def opener(p, mode):
+            return gzip.open(p, mode, compresslevel=1) if gz else open(p, mode)
+
+        with opener(path, "wb") as f:
+            f.write(want)
+        with opener(path, "rb") as f:
+            peak = peak_bytes(read_array, f, want.shape, "<f4", "x")
+        assert peak < 1.1 * want.nbytes
+        with opener(path, "rb") as f:
+            np.testing.assert_array_equal(
+                read_array(f, want.shape, "<f4", "x"), want)
 
 
 class TestFuseInputs:
@@ -161,6 +243,21 @@ class TestMnistIdx:
                     load_mnist_idx(ip, lp)
             path.write_bytes(good)
 
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+    def test_loads_from_pipe(self, tmp_path, gz):
+        # Over 1 MiB of pixels, so the payload arrives in many pieces.
+        rng = make_rng(8, 0)
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        write_idx_images(ip, rng.integers(0, 256, (1500, 28, 28),
+                                          dtype=np.uint8), gz=gz)
+        write_idx_labels(lp, rng.integers(0, 10, 1500), gz=gz)
+        want = load_mnist_idx(ip, lp)
+        with fifo_serving(tmp_path / "img.fifo", ip.read_bytes()) as ipipe, \
+                fifo_serving(tmp_path / "lab.fifo", lp.read_bytes()) as lpipe:
+            got = load_mnist_idx(ipipe, lpipe)
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "img", tmp_path / "lab"
         write_idx_images(ip, np.zeros((3, 28, 28), dtype=np.uint8))
@@ -183,6 +280,37 @@ class TestEmbeddingFormat:
         p2 = tmp_path / "emb2.bin"
         save_embeddings(d2, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+    def test_file_bytes_match_layout(self, tmp_path):
+        # Column-major features and strided labels are written in row order.
+        feats = make_rng(6, 0).standard_normal((9, 5))
+        d = Dataset(np.asfortranarray(feats), (np.arange(18) % 4)[::2], 4)
+        p = tmp_path / "emb.bin"
+        save_embeddings(d, p)
+        assert p.read_bytes() == (
+            b"CNNE" + struct.pack("<IIII", 1, 9, 5, 4)
+            + feats.astype("<f4").tobytes()
+            + d.labels.astype("<u2").tobytes())
+
+    def test_save_copies_the_payload_once(self, tmp_path):
+        # The float32 features, plus `isfinite`'s one-byte-per-value mask;
+        # the arrays are written through the buffer interface, not copied
+        # again into bytes.
+        d = synth_blobs(500, 768, 4, 1.0, make_rng(7, 0))
+        payload = d.n_samples * (4 * d.dim + 2)
+        peak = peak_bytes(save_embeddings, d, tmp_path / "emb.bin")
+        assert peak < 1.3 * payload
+
+    def test_loads_from_pipe(self, tmp_path):
+        d = synth_blobs(300, 500, 2, 1.0, make_rng(9, 0))
+        p = tmp_path / "emb.bin"
+        save_embeddings(d, p)
+        want = load_embeddings(p)
+        with fifo_serving(tmp_path / "emb.fifo", p.read_bytes()) as pipe:
+            got = load_embeddings(pipe)
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.n_classes == want.n_classes
 
     def test_empty_payload_valid(self, tmp_path):
         d = Dataset(np.zeros((0, 768)), np.zeros(0, dtype=np.int64), 20)

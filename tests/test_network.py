@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (OVERSIZED_CHECKPOINT, UNRUNNABLE_CHECKPOINTS,
-                      central_diff, chain_checkpoint, peak_bytes, rel_err)
+                      central_diff, chain_checkpoint, fifo_serving,
+                      peak_bytes, rel_err)
 from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate, predecessors
 import cyclicff.network as network_module
@@ -745,6 +746,24 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         weights = sum(p.W.nbytes for p in net.neurons) + net.readout_W.nbytes
         assert peak_bytes(load_checkpoint, path) < 1.1 * weights
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_loads_from_pipe(self, tmp_path, monkeypatch, version):
+        # Each 1.6 MB matrix arrives in many pieces.
+        monkeypatch.setattr(network_module, "CHECKPOINT_VERSION", version)
+        net = small_net("cycle", 3, base_dim=784, d_out=200, n_classes=10)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        want = load_checkpoint(path)
+        with fifo_serving(tmp_path / "net.fifo", path.read_bytes()) as pipe:
+            got = load_checkpoint(pipe)
+        assert (got.topology, got.T, got.base_dim, got.n_classes,
+                got.fusion) == (want.topology, want.T, want.base_dim,
+                                want.n_classes, want.fusion)
+        for a, b in zip(got.neurons, want.neurons):
+            np.testing.assert_array_equal(a.W, b.W)
+            assert a.theta == b.theta
+        np.testing.assert_array_equal(got.readout_W, want.readout_W)
 
     def test_save_copies_no_weight_matrix(self, tmp_path):
         net = small_net(base_dim=200, d_out=50, n_classes=10)
