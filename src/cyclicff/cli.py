@@ -204,6 +204,17 @@ def _load_file(loader, *paths):
         raise ConfigError(str(e)) from None
 
 
+def _check_test_set(test: Dataset, dim: int, n_classes: int, who: str,
+                    reference: str) -> None:
+    """ConfigError, naming both values, unless the test set has the `dim`
+    and `n_classes` that `reference` expects."""
+    for what, data_value, want in (("dim", test.dim, dim),
+                                   ("n_classes", test.n_classes, n_classes)):
+        if data_value != want:
+            raise ConfigError(f"{who}: test set has {what} {data_value}, "
+                              f"{reference} expects {want}")
+
+
 def load_test_set(cfg: dict[str, str]) -> Dataset:
     """The test split of the config's dataset; no training data is read."""
     s = _data_settings(cfg)
@@ -218,7 +229,9 @@ def load_test_set(cfg: dict[str, str]) -> Dataset:
 
 
 def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
-    """Resolve (train, val, test) from the config's dataset block."""
+    """Resolve (train, val, test) from the config's dataset block; a test
+    set whose dim or n_classes differs from the training data's is a
+    ConfigError."""
     s = _data_settings(cfg)
     seed = s["seed"]
     if cfg["dataset"] == "mnist":
@@ -231,7 +244,10 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
         # Slices, not index arrays, so both parts share `full`'s memory.
         train = full.subset(slice(0, MNIST_TRAIN_ROWS))
         val = full.subset(slice(MNIST_TRAIN_ROWS, None))
-        return train, val, load_test_set(cfg)
+        test = load_test_set(cfg)
+        _check_test_set(test, full.dim, full.n_classes, cfg["dataset"],
+                        "the training set")
+        return train, val, test
     if cfg["dataset"] == "embeddings":
         path = _data_path(cfg, "embeddings_train")
         full = _load_file(load_embeddings, path)
@@ -243,7 +259,10 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
         full = synth_blobs(s["n"], s["dim"], s["classes"], s["sep"],
                            make_rng(seed, "synth-data"))
     train, val = split(full, s["val_fraction"], make_rng(seed, "data-shuffle"))
-    return train, val, load_test_set(cfg)
+    test = load_test_set(cfg)
+    _check_test_set(test, full.dim, full.n_classes, cfg["dataset"],
+                    "the training set")
+    return train, val, test
 
 
 def config_hash(cfg: dict[str, str]) -> str:
@@ -330,12 +349,7 @@ def cmd_eval(args) -> int:
     cfg = effective_config(args.config, args.set)
     net = _load_file(load_checkpoint, args.checkpoint)
     test = load_test_set(cfg)
-    for what, data_value, net_value in (
-            ("dim", test.dim, net.raw_dim),
-            ("n_classes", test.n_classes, net.n_classes)):
-        if data_value != net_value:
-            raise ConfigError(f"eval: test set has {what} {data_value}, "
-                              f"the checkpoint expects {net_value}")
+    _check_test_set(test, net.raw_dim, net.n_classes, "eval", "the checkpoint")
     print(f"test_error_pct={evaluate(net, test)}")
     return 0
 

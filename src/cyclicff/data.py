@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_finite
+
 MNIST_IMAGE_MAGIC = 2051
 MNIST_LABEL_MAGIC = 2049
 
@@ -29,6 +31,16 @@ def check_labels(labels: np.ndarray, n_classes: int, what: str) -> None:
     if len(labels) and (int(labels.min()) < 0
                         or int(labels.max()) >= n_classes):
         raise ValueError(f"{what}: label out of range")
+
+
+def as_features(features, what: str) -> np.ndarray:
+    """`features` as a float64 array; ValueError, named by `what`, unless
+    it is 2-D (rows x dim)."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError(
+            f"{what}: need 2-D features, got shape {features.shape}")
+    return features
 
 
 @dataclass(frozen=True)
@@ -46,8 +58,7 @@ class Dataset:
         if len(self.labels) != len(self.features):
             raise ValueError("Dataset: feature/label count mismatch")
         check_labels(self.labels, self.n_classes, "Dataset")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("Dataset: non-finite features")
+        check_finite(self.features, "Dataset: non-finite features")
 
     @property
     def n_samples(self) -> int:
@@ -101,7 +112,7 @@ def fuse_inputs(features: np.ndarray, labels: np.ndarray, n_classes: int,
     """
     if n_classes < 2:
         raise ValueError("fuse_inputs: need at least 2 classes")
-    features = np.asarray(features, dtype=np.float64)
+    features = as_features(features, "fuse_inputs")
     labels = np.asarray(labels, dtype=np.int64)
     if not len(labels):
         raise ValueError("fuse_inputs: empty batch")
@@ -128,7 +139,7 @@ def fuse_inputs(features: np.ndarray, labels: np.ndarray, n_classes: int,
 def neutral_fusion(features: np.ndarray, n_classes: int,
                    mode: FusionMode) -> np.ndarray:
     """The neutral stream: every class weighted 1 / n_classes."""
-    features = np.asarray(features, dtype=np.float64)
+    features = as_features(features, "neutral_fusion")
     neu = np.full((len(features), n_classes), 1.0 / n_classes)
     return _fuse(features, neu, mode)
 
@@ -222,8 +233,7 @@ def load_embeddings(path) -> Dataset:
         labels = read_array(f, (n,), "<u2", "embeddings")
         if f.read(1):
             raise ValueError("embeddings: trailing bytes after the labels")
-    if not np.isfinite(features).all():
-        raise ValueError("embeddings: non-finite features")
+    check_finite(features, "embeddings: non-finite features")
     return Dataset(features.astype(np.float64), labels.astype(np.int64),
                    n_classes, name="embeddings")
 
@@ -236,8 +246,7 @@ def save_embeddings(d: Dataset, path) -> None:
         raise ValueError("save_embeddings: label above 65535")
     with np.errstate(over="ignore"):
         features = d.features.astype("<f4", order="C")
-    if not np.isfinite(features).all():
-        raise ValueError("save_embeddings: feature not finite in float32")
+    check_finite(features, "save_embeddings: feature not finite in float32")
     with open(path, "wb") as f:
         f.write(EMBEDDING_MAGIC)
         f.write(struct.pack("<IIII", EMBEDDING_VERSION, d.n_samples,

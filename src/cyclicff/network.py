@@ -15,13 +15,13 @@ from functools import partial
 
 import numpy as np
 
-from .data import (FusionMode, FusedBatch, check_labels, neutral_fusion,
-                   read_array, read_struct)
+from .data import (FusionMode, FusedBatch, as_features, check_labels,
+                   neutral_fusion, read_array, read_struct)
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
                      ff_loss_grad_outputs)
-from .numerics import (EPS_NORM, AdamState, adam_step, relu, row_norms,
-                       softmax_xent)
+from .numerics import (EPS_NORM, AdamState, adam_step, check_finite, relu,
+                       row_norms, softmax_xent)
 
 CHECKPOINT_MAGIC = b"CNN1"
 CHECKPOINT_VERSION = 2
@@ -258,7 +258,7 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
     PREDICT_BLOCK_ROWS; the per-row arithmetic, and so the result, does not
     depend on the block.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = as_features(features, "predict")
     if features.shape[1] != net.raw_dim:
         raise ValueError(
             f"predict: features have {features.shape[1]} cols, "
@@ -344,8 +344,7 @@ def load_checkpoint(path) -> CyclicNet:
         # Read into an array of the stored type: a version-2 matrix is
         # already the float64 returned, and only version 1 is widened.
         W = read_array(f, (rows, cols), dtype, "checkpoint")
-        if not np.isfinite(W).all():
-            raise ValueError(f"checkpoint: {what} W is not finite")
+        check_finite(W, f"checkpoint: {what} W is not finite")
         return W.astype(np.float64, copy=False)
 
     with open(path, "rb") as f:

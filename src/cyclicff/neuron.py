@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import l2_normalize_rows, relu, row_norms, sigmoid
+from .numerics import check_finite, l2_normalize_rows, relu, row_norms, sigmoid
 
 PROB_CLAMP = 1e-12
 
@@ -69,8 +69,7 @@ def goodness(h: np.ndarray, theta: float) -> np.ndarray:
     """Per-row logistic(sum(h^2) - theta * n_cols); the probability that the
     row came from the positive stream."""
     h = np.asarray(h, dtype=np.float64)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("goodness: non-finite input")
+    check_finite(h, "goodness: non-finite input")
     g = np.sum(h * h, axis=-1)
     return sigmoid(g - theta * h.shape[-1])
 

@@ -52,6 +52,17 @@ def make_rng(seed: int, stream: int | str = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def check_finite(a: np.ndarray, message: str) -> None:
+    """ValueError(message) unless every entry of `a`, of any shape, is
+    finite. The first axis is scanned in blocks of about ADAM_BLOCK_BYTES,
+    so no mask the size of `a` is held and `a` is never copied."""
+    a = np.atleast_1d(a)
+    rows = max(1, ADAM_BLOCK_BYTES // max(1, a[:1].nbytes))
+    for start in range(0, len(a), rows):
+        if not np.isfinite(a[start:start + rows]).all():
+            raise ValueError(message)
+
+
 def row_norms(m: np.ndarray) -> np.ndarray:
     """max(||row||_2, 1e-8) for each row of a (batch x dim) matrix. The
     guard makes a zero row a fixed point of dividing by it."""
@@ -62,8 +73,8 @@ def row_norms(m: np.ndarray) -> np.ndarray:
         sq = np.vecdot(m, m)
     # A non-finite entry always makes its row sum non-finite; a huge finite
     # one can overflow it too, so only then are the entries scanned.
-    if not np.isfinite(sq).all() and not np.isfinite(m).all():
-        raise ValueError("row_norms: non-finite input")
+    if not np.isfinite(sq).all():
+        check_finite(m, "row_norms: non-finite input")
     return np.maximum(np.sqrt(sq), EPS_NORM)
 
 
@@ -89,8 +100,7 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.size == 0:
         raise ValueError("softmax_stable: empty input")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("softmax_stable: non-finite input")
+    check_finite(logits, "softmax_stable: non-finite input")
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
@@ -158,10 +168,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     if not (params.flags.c_contiguous and m.flags.c_contiguous
             and v.flags.c_contiguous):
         raise ValueError("adam_step: params and moments must be contiguous")
-    flat_grad = grad.reshape(-1)
-    for start in range(0, grad.size, ADAM_BLOCK):
-        if not np.isfinite(flat_grad[start:start + ADAM_BLOCK]).all():
-            raise ValueError("adam_step: non-finite gradient")
+    check_finite(grad, "adam_step: non-finite gradient")
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     if params.size <= ADAM_BLOCK:

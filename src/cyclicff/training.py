@@ -8,7 +8,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, FusionMode, fuse_inputs, iter_batches
+from .data import (Dataset, FusionMode, as_features, fuse_inputs,
+                   iter_batches)
 from .graph import GeneratorSpec, generate
 from .network import (MAX_T, CyclicNet, build_network, predict,
                       train_iteration)
@@ -252,7 +253,8 @@ class BPChainMLP:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Argmax of the logits, holding only the current layer's
         activation: backprop's per-layer activations are not needed."""
-        for h in self._activations(np.asarray(features, dtype=np.float64)):
+        for h in self._activations(as_features(features,
+                                               "BPChainMLP.predict")):
             pass
         return np.argmax(self._logits(h), axis=1)
 

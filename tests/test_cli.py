@@ -308,6 +308,36 @@ class TestTrainCommand:
         assert ("val_fraction 0.9 leaves no training rows: 2 rows, 2 to "
                 "validation") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["train"], ["sweep", "--set", "T=1,2", "--seeds", "1"]],
+        ids=["train", "sweep"])
+    @pytest.mark.parametrize("test_shape,message", [
+        ((9, 2), "embeddings: test set has dim 9, the training set "
+                 "expects 8"),
+        ((8, 5), "embeddings: test set has n_classes 5, the training set "
+                 "expects 2"),
+    ], ids=["dim", "n_classes"])
+    def test_test_set_unlike_training_data_exit_2(
+            self, tmp_path, capsys, no_training, command, test_shape,
+            message):
+        # Found before out_dir is made and before anything trains, not by
+        # predict after a whole run, nor counted as a 5-class error rate.
+        emb_train, emb_test = tmp_path / "train.cnne", tmp_path / "test.cnne"
+        save_embeddings(synth_blobs(10, 8, 2, 1.0, make_rng(0, 0)),
+                        emb_train)
+        dim, n_classes = test_shape
+        save_embeddings(synth_blobs(4, dim, n_classes, 1.0, make_rng(1, 0)),
+                        emb_test)
+        out_dir = tmp_path / "out"
+        p = tmp_path / "emb.cfg"
+        p.write_text(f"dataset = embeddings\nembeddings_train = {emb_train}\n"
+                     f"embeddings_test = {emb_test}\nout_dir = {out_dir}\n")
+        assert run_cli(command + ["--config", str(p)]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(out_dir.rglob("*"))
+        if command == ["train"]:
+            assert not out_dir.exists()
+
     def test_value_error_while_training_exit_1(self, cfg_path, tmp_path,
                                                monkeypatch):
         def diverge(*a, **kw):

@@ -13,7 +13,10 @@ from cyclicff.data import (READ_PIECE, Dataset, FusionMode, fuse_inputs,
                            iter_batches, load_embeddings, load_mnist_idx,
                            neutral_fusion, read_array, save_embeddings,
                            split, synth_blobs)
+from cyclicff.graph import GeneratorSpec, generate
+from cyclicff.network import build_network, predict
 from cyclicff.numerics import make_rng
+from cyclicff.training import BPChainMLP
 
 
 @pytest.fixture
@@ -40,6 +43,34 @@ class TestDataset:
                 "Dataset: need 2-D features and 1-D labels, got shapes "
                 f"{shape} and (4,)")):
             Dataset(np.zeros(shape), np.array([0, 1, 0, 1]), 2)
+
+    def test_non_finite_check_holds_no_mask(self):
+        # 20000 x 784 float64 features; a one-byte-per-value mask would be
+        # 15 MiB.
+        features = np.zeros((20000, 784))
+        labels = np.zeros(20000, dtype=np.int64)
+        assert peak_bytes(Dataset, features, labels, 10) < 1 << 20
+
+
+def _net_4_dim():
+    return build_network(generate(GeneratorSpec("complete", 2)), 4, 3, 2,
+                         1.0, 2, make_rng(0, "weights"))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 4)], ids=["1-D", "3-D"])
+@pytest.mark.parametrize("what,call", [
+    ("predict", lambda x: predict(_net_4_dim(), x)),
+    ("fuse_inputs", lambda x: fuse_inputs(
+        x, np.zeros(len(x), dtype=np.int64), 2, FusionMode("overlay"),
+        make_rng(0, 0))),
+    ("neutral_fusion", lambda x: neutral_fusion(x, 2, FusionMode())),
+    ("BPChainMLP.predict",
+     lambda x: BPChainMLP(4, 3, 2, make_rng(0, 0)).predict(x)),
+], ids=["predict", "fuse_inputs", "neutral_fusion", "BPChainMLP.predict"])
+def test_features_not_2d_rejected(what, call, shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{what}: need 2-D features, got shape {shape}")):
+        call(np.zeros(shape))
 
 
 class TrickleStream(io.RawIOBase):
@@ -258,6 +289,17 @@ class TestMnistIdx:
         np.testing.assert_array_equal(got.features, want.features)
         np.testing.assert_array_equal(got.labels, want.labels)
 
+    def test_load_holds_the_payload_and_features_once(self, tmp_path):
+        # The uint8 payload and its float64 features; the non-finite check
+        # of the features holds no mask.
+        images = make_rng(3, 0).integers(0, 256, size=(2000, 28, 28),
+                                         dtype=np.uint8)
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        write_idx_images(ip, images)
+        write_idx_labels(lp, np.arange(2000) % 10)
+        peak = peak_bytes(load_mnist_idx, ip, lp)
+        assert peak < 1.05 * (images.nbytes + 8 * images.size)
+
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "img", tmp_path / "lab"
         write_idx_images(ip, np.zeros((3, 28, 28), dtype=np.uint8))
@@ -300,6 +342,14 @@ class TestEmbeddingFormat:
         payload = d.n_samples * (4 * d.dim + 2)
         peak = peak_bytes(save_embeddings, d, tmp_path / "emb.bin")
         assert peak < 1.3 * payload
+
+    def test_save_holds_no_mask(self, tmp_path):
+        # The float32 features alone; the non-finite check of the float32
+        # copy holds no mask.
+        d = synth_blobs(500, 768, 4, 1.0, make_rng(7, 0))
+        payload = d.n_samples * (4 * d.dim + 2)
+        peak = peak_bytes(save_embeddings, d, tmp_path / "emb.bin")
+        assert peak < 1.1 * payload
 
     def test_loads_from_pipe(self, tmp_path):
         d = synth_blobs(300, 500, 2, 1.0, make_rng(9, 0))

@@ -747,6 +747,15 @@ class TestCheckpoint:
         weights = sum(p.W.nbytes for p in net.neurons) + net.readout_W.nbytes
         assert peak_bytes(load_checkpoint, path) < 1.1 * weights
 
+    def test_load_holds_no_mask(self, tmp_path):
+        # An mnist-shaped complete-4 net: each 200 x 1384 matrix is checked
+        # for non-finite weights without a mask of its size.
+        net = small_net(base_dim=784, d_out=200, n_classes=10)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        weights = sum(p.W.nbytes for p in net.neurons) + net.readout_W.nbytes
+        assert peak_bytes(load_checkpoint, path) < 1.01 * weights
+
     @pytest.mark.parametrize("version", [1, 2])
     def test_loads_from_pipe(self, tmp_path, monkeypatch, version):
         # Each 1.6 MB matrix arrives in many pieces.

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cyclicff.numerics import (ADAM_BLOCK, AdamState, adam_step,
-                               l2_normalize_rows, make_rng, sigmoid,
-                               softmax_stable)
+from conftest import peak_bytes
+from cyclicff.numerics import (ADAM_BLOCK, ADAM_BLOCK_BYTES, AdamState,
+                               adam_step, check_finite, l2_normalize_rows,
+                               make_rng, sigmoid, softmax_stable)
 
 finite_vectors = arrays(np.float64, st.integers(1, 12),
                         elements=st.floats(-1e6, 1e6, allow_nan=False))
@@ -259,6 +260,47 @@ class TestAdam:
         with pytest.raises(ValueError, match="contiguous"):
             adam_step(arrays["params"], np.ones((4, 3)), state)
         assert state.t == 0
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(3 * ADAM_BLOCK + 5,),
+                                       (ADAM_BLOCK // 4 + 1, 16),
+                                       (3, 2 * ADAM_BLOCK)],
+                             ids=["1-D", "2-D", "wide-rows"])
+    def test_found_only_in_the_last_block(self, bad, shape):
+        a = np.ones(shape)
+        a.reshape(-1)[-1] = bad
+        with pytest.raises(ValueError, match="^bad entry$"):
+            check_finite(a, "bad entry")
+
+    @pytest.mark.parametrize("a", [
+        np.float64(1.0), np.array(2.0), np.zeros(0), np.zeros((0, 3)),
+        np.zeros((3, 0)), np.ones(ADAM_BLOCK + 1), np.arange(10),
+        np.ones((50, 7))[:, 3]],
+        ids=["scalar", "0-d", "empty", "no-rows", "no-cols", "1-D", "int",
+             "column"])
+    def test_accepts_finite_of_any_shape(self, a):
+        check_finite(a, "x")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_0d(self, bad):
+        with pytest.raises(ValueError, match="x"):
+            check_finite(np.array(bad), "x")
+
+    def test_column_slice_scanned_without_a_copy(self):
+        # A copy of the strided column would be 320 KB; the scan holds one
+        # block's mask, one byte per value.
+        a = np.ones((40000, 8))
+        assert peak_bytes(check_finite, a[:, 5], "x") < ADAM_BLOCK_BYTES
+        a[-1, 5] = np.nan
+        with pytest.raises(ValueError, match="x"):
+            check_finite(a[:, 5], "x")
+        check_finite(a[:, 4], "x")
+
+    def test_holds_no_array_sized_mask(self):
+        a = np.ones((4000, 784))
+        assert peak_bytes(check_finite, a, "x") < ADAM_BLOCK_BYTES
 
 
 class TestRng:
