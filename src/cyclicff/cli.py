@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (Dataset, FusionMode, load_embeddings, load_mnist_idx,
-                   save_embeddings, split, synth_blobs, val_rows)
+                   save_embeddings, split, synth_blobs)
 from .graph import GeneratorSpec, generate, has_cycle, predecessors, to_edge_list
 from .network import load_checkpoint, save_checkpoint
 from .numerics import check_seed, make_rng
@@ -153,18 +153,9 @@ def _data_path(cfg: dict[str, str], key: str) -> str:
     return os.path.join(root, value)
 
 
-def _check_split(n_rows: int, val_fraction: float) -> None:
-    """ConfigError if `split` would send all n_rows rows to validation."""
-    n_val = val_rows(n_rows, val_fraction)
-    if n_val == n_rows:
-        raise ConfigError(
-            f"val_fraction {val_fraction} leaves no training rows: "
-            f"{n_rows} rows, {n_val} to validation")
-
-
 def _data_settings(cfg: dict[str, str]) -> dict:
-    """Parse and range-check the data keys the config's dataset uses, so a
-    bad value is a config error before any run trains."""
+    """Parse and range-check the data keys the config's dataset uses; the
+    val_fraction rules are `split`'s."""
     kind = cfg["dataset"]
     if kind not in ("mnist", "embeddings", "synth"):
         raise ConfigError(f"unknown dataset {kind!r}")
@@ -176,8 +167,6 @@ def _data_settings(cfg: dict[str, str]) -> dict:
     if kind == "mnist":
         return s
     s["val_fraction"] = _parse(cfg, "val_fraction", float)
-    if not 0.0 <= s["val_fraction"] < 1.0:
-        raise ConfigError("val_fraction must be in [0, 1)")
     if kind == "synth":
         n, dim, classes = (_parse(cfg, k, int) for k in (
             "synth_n_per_class", "synth_dim", "synth_classes"))
@@ -190,16 +179,16 @@ def _data_settings(cfg: dict[str, str]) -> dict:
             raise ConfigError(f"synth_classes {classes} > synth_dim {dim}")
         if not (np.isfinite(sep) and sep >= 0):
             raise ConfigError("synth_separation must be finite and >= 0")
-        _check_split(n * classes, s["val_fraction"])
         s.update(n=n, dim=dim, classes=classes, sep=sep)
     return s
 
 
-def _load_file(loader, *paths):
-    """`loader(*paths)`, with a malformed or unreadable file reported as an
-    input error (exit 2) rather than a runtime failure."""
+def _checked(fn, *args):
+    """`fn(*args)`, with its ValueError or OSError (a malformed or
+    unreadable file, a split with no training rows) reported as an input
+    error (exit 2) rather than a runtime failure."""
     try:
-        return loader(*paths)
+        return fn(*args)
     except (ValueError, OSError) as e:
         raise ConfigError(str(e)) from None
 
@@ -215,51 +204,49 @@ def _check_test_set(test: Dataset, dim: int, n_classes: int, who: str,
                               f"{reference} expects {want}")
 
 
-def load_test_set(cfg: dict[str, str]) -> Dataset:
-    """The test split of the config's dataset; no training data is read."""
-    s = _data_settings(cfg)
+def _test_set(cfg: dict[str, str], s: dict) -> Dataset:
+    """The test split of the config's dataset, `s` its data settings."""
     if cfg["dataset"] == "mnist":
-        return _load_file(load_mnist_idx,
-                          _data_path(cfg, "mnist_test_images"),
-                          _data_path(cfg, "mnist_test_labels"))
+        return _checked(load_mnist_idx, _data_path(cfg, "mnist_test_images"),
+                        _data_path(cfg, "mnist_test_labels"))
     if cfg["dataset"] == "embeddings":
-        return _load_file(load_embeddings, _data_path(cfg, "embeddings_test"))
+        return _checked(load_embeddings, _data_path(cfg, "embeddings_test"))
     return synth_blobs(max(s["n"] // 4, 1), s["dim"], s["classes"], s["sep"],
                        make_rng(s["seed"], "synth-test"))
 
 
+def load_test_set(cfg: dict[str, str]) -> Dataset:
+    """The test split of the config's dataset; no training data is read."""
+    return _test_set(cfg, _data_settings(cfg))
+
+
 def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
-    """Resolve (train, val, test) from the config's dataset block; a test
-    set whose dim or n_classes differs from the training data's is a
-    ConfigError."""
+    """Resolve (train, val, test) from the config's dataset block; a bad
+    file, a split with no training rows, or a test set whose dim or
+    n_classes differs from the training data's is a ConfigError."""
     s = _data_settings(cfg)
-    seed = s["seed"]
     if cfg["dataset"] == "mnist":
         path = _data_path(cfg, "mnist_images")
-        full = _load_file(load_mnist_idx, path,
-                          _data_path(cfg, "mnist_labels"))
+        full = _checked(load_mnist_idx, path, _data_path(cfg, "mnist_labels"))
         if full.n_samples < MNIST_TRAIN_ROWS:
             raise ConfigError(f"{path}: {full.n_samples} images, the fixed "
                               f"split needs at least {MNIST_TRAIN_ROWS}")
         # Slices, not index arrays, so both parts share `full`'s memory.
         train = full.subset(slice(0, MNIST_TRAIN_ROWS))
         val = full.subset(slice(MNIST_TRAIN_ROWS, None))
-        test = load_test_set(cfg)
-        _check_test_set(test, full.dim, full.n_classes, cfg["dataset"],
-                        "the training set")
-        return train, val, test
-    if cfg["dataset"] == "embeddings":
-        path = _data_path(cfg, "embeddings_train")
-        full = _load_file(load_embeddings, path)
-        if full.n_classes < 2:
-            raise ConfigError(
-                f"{path}: n_classes is {full.n_classes}, need at least 2")
-        _check_split(full.n_samples, s["val_fraction"])
     else:
-        full = synth_blobs(s["n"], s["dim"], s["classes"], s["sep"],
-                           make_rng(seed, "synth-data"))
-    train, val = split(full, s["val_fraction"], make_rng(seed, "data-shuffle"))
-    test = load_test_set(cfg)
+        if cfg["dataset"] == "embeddings":
+            path = _data_path(cfg, "embeddings_train")
+            full = _checked(load_embeddings, path)
+            if full.n_classes < 2:
+                raise ConfigError(
+                    f"{path}: n_classes is {full.n_classes}, need at least 2")
+        else:
+            full = synth_blobs(s["n"], s["dim"], s["classes"], s["sep"],
+                               make_rng(s["seed"], "synth-data"))
+        train, val = _checked(split, full, s["val_fraction"],
+                              make_rng(s["seed"], "data-shuffle"))
+    test = _test_set(cfg, s)
     _check_test_set(test, full.dim, full.n_classes, cfg["dataset"],
                     "the training set")
     return train, val, test
@@ -347,7 +334,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = effective_config(args.config, args.set)
-    net = _load_file(load_checkpoint, args.checkpoint)
+    net = _checked(load_checkpoint, args.checkpoint)
     test = load_test_set(cfg)
     _check_test_set(test, net.raw_dim, net.n_classes, "eval", "the checkpoint")
     print(f"test_error_pct={evaluate(net, test)}")
@@ -379,6 +366,8 @@ def cmd_sweep(args) -> int:
     axes = []
     for item in args.set or []:
         key, values = _setting(item, "--set")
+        if key in (k for k, _ in axes):
+            raise ConfigError(f"sweep: --set {key} is given twice")
         if key == "out_dir":
             raise ConfigError("sweep: out_dir cannot be swept; the summary "
                               "goes to the config's out_dir")
@@ -398,7 +387,8 @@ def cmd_sweep(args) -> int:
     combos = list(itertools.product(*(vals for _, vals in axes)))
     keys = [k for k, _ in axes]
 
-    # Every job's config is built and checked before the first run trains.
+    # Every job's config is built and its data read and checked before
+    # out_dir is made and the first run trains.
     jobs = []
     for combo in combos:
         for seed in seeds:
@@ -406,7 +396,7 @@ def cmd_sweep(args) -> int:
             cfg.update(dict(zip(keys, combo)))
             cfg["seed"] = str(seed)
             jobs.append((to_train_config(cfg), cfg))
-            _data_settings(cfg)
+            load_datasets(cfg)
     out_dir = _make_out_dir(base)
 
     if args.jobs > 1:

@@ -334,9 +334,7 @@ class TestTrainCommand:
                      f"embeddings_test = {emb_test}\nout_dir = {out_dir}\n")
         assert run_cli(command + ["--config", str(p)]) == 2
         assert message in capsys.readouterr().err
-        assert not any(out_dir.rglob("*"))
-        if command == ["train"]:
-            assert not out_dir.exists()
+        assert not out_dir.exists()
 
     def test_value_error_while_training_exit_1(self, cfg_path, tmp_path,
                                                monkeypatch):
@@ -663,6 +661,37 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "run_config", counting)
         assert run_cli(["sweep", "--config", cfg_path] + args) == 2
         assert calls == []
+
+    def test_repeated_key_exit_2(self, sweep_cfg, tmp_path, capsys,
+                                 no_training):
+        # Both axes would set T, so every job would run at the last one.
+        assert run_cli(["sweep", "--config", sweep_cfg, "--set", "T=1,2",
+                        "--set", "T=3", "--seeds", "1"]) == 2
+        assert "--set T is given twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case,val_fraction,message", [
+        ("truncated", 0.2, "embeddings: truncated"),
+        ("empty-split", 0.95, "split: val_fraction 0.95 leaves no training "
+                              "rows: 8 rows, 8 to validation"),
+    ], ids=["truncated", "empty-split"])
+    def test_bad_data_file_creates_no_out_dir(self, tmp_path, capsys,
+                                              no_training, case,
+                                              val_fraction, message):
+        # Every job's data is read before out_dir is made.
+        emb = tmp_path / "emb.cnne"
+        save_embeddings(synth_blobs(4, 8, 2, 1.0, make_rng(0, 0)), emb)
+        if case == "truncated":
+            emb.write_bytes(emb.read_bytes()[:-1])
+        out_dir = tmp_path / "out"
+        p = tmp_path / "emb.cfg"
+        p.write_text(f"dataset = embeddings\nembeddings_train = {emb}\n"
+                     f"embeddings_test = {emb}\n"
+                     f"val_fraction = {val_fraction}\nout_dir = {out_dir}\n")
+        assert run_cli(["sweep", "--config", str(p), "--set", "T=1,2",
+                        "--seeds", "1"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_seed_axis_exit_2(self, cfg_path, capsys, no_training):
         # --seeds sets every job's seed, so a seed axis would be ignored.

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (OVERSIZED_EMBEDDINGS, fifo_serving, peak_bytes,
                       write_idx_images, write_idx_labels)
+from cyclicff import data
 from cyclicff.data import (READ_PIECE, Dataset, FusionMode, fuse_inputs,
                            iter_batches, load_embeddings, load_mnist_idx,
                            neutral_fusion, read_array, save_embeddings,
@@ -419,6 +420,22 @@ class TestEmbeddingFormat:
                            match="embeddings: non-finite features"):
             load_embeddings(p)
 
+    def test_features_scanned_once(self, tmp_path, monkeypatch):
+        # A finite float32 widens to a finite float64, so Dataset's scan of
+        # the float64 features is the only one needed.
+        p = tmp_path / "emb.bin"
+        save_embeddings(synth_blobs(5, 4, 2, 1.0, make_rng(0, 0)), p)
+        calls = []
+        real = data.check_finite
+
+        def counting(a, message):
+            calls.append(a.dtype)
+            real(a, message)
+
+        monkeypatch.setattr(data, "check_finite", counting)
+        load_embeddings(p)
+        assert calls == [np.float64]
+
     def test_every_bit_flip_rejected_or_round_trips(self, tmp_path):
         # A flipped bit is either a ValueError or a dataset that saves and
         # loads back to the same values.
@@ -540,6 +557,24 @@ class TestSplitAndBatch:
         first = next(iter_batches(d, 128, rng))[1]
         second = next(iter_batches(d, 128, rng))[1]
         assert not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("n_per_class,val_fraction,counts", [
+        (1, 0.9, "2 rows, 2 to validation"),
+        (5, 0.96, "10 rows, 10 to validation"),
+        (0, 0.2, "0 rows, 0 to validation"),
+    ], ids=["all-rows", "rounded-up", "empty"])
+    def test_no_training_rows_rejected_before_draw(self, n_per_class,
+                                                   val_fraction, counts):
+        d = synth_blobs(n_per_class, 4, 2, 1.0, make_rng(0, 100))
+        rng = make_rng(0, "data-shuffle")
+        with pytest.raises(ValueError, match=re.escape(
+                f"split: val_fraction {val_fraction} leaves no training "
+                f"rows: {counts}")):
+            split(d, val_fraction, rng)
+        # Nothing was drawn: the generator goes on as a fresh one does.
+        np.testing.assert_array_equal(
+            rng.integers(0, 2**62, 8),
+            make_rng(0, "data-shuffle").integers(0, 2**62, 8))
 
     def test_bad_params(self):
         d = synth_blobs(10, 4, 2, 1.0, make_rng(0, 100))

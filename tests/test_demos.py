@@ -1,11 +1,13 @@
 """Demos 01 and 02 take well under a second, so they are run here and must
 exit 0. The others only have their package imports resolved: 03 takes
-about 4 s, 04 about four minutes, and 05 needs the MNIST files."""
+about 4 s, 04 about four minutes, and 05 needs the MNIST files. The
+README's library quick start (about 3 s) is run too."""
 
 import ast
 import glob
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +40,19 @@ def test_fast_demo_runs(name):
     paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    # The first ```python block of README.md, run with src on the path.
+    text = Path(ROOT, "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert block, "README.md has no ```python block"
+    paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-c", block.group(1)],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
