@@ -8,32 +8,20 @@ the command line:
     cyclicff train --set dataset=mnist --set fusion=overlay --set max_epochs=6
 """
 
-import os
 import sys
 
-from cyclicff.data import FusionMode, load_mnist_idx
+from cyclicff.cli import effective_config, load_datasets
+from cyclicff.data import FusionMode
 from cyclicff.graph import GeneratorSpec
 from cyclicff.training import TrainConfig, evaluate, train_loop
 
-root = os.environ.get("CYCLIC_FF_DATA_DIR", ".")
-
-
-def find(*names):
-    for name in names:
-        p = os.path.join(root, name)
-        if os.path.exists(p):
-            return p
-    sys.exit(f"missing MNIST file {names[0]} under {root!r} "
-             "(set CYCLIC_FF_DATA_DIR)")
-
-
-full = load_mnist_idx(find("train-images-idx3-ubyte", "train-images-idx3-ubyte.gz"),
-                      find("train-labels-idx1-ubyte", "train-labels-idx1-ubyte.gz"))
-# Slices, not index arrays, so both parts share `full`'s memory.
-train = full.subset(slice(0, 50000))
-val = full.subset(slice(50000, None))
-test = load_mnist_idx(find("t10k-images-idx3-ubyte", "t10k-images-idx3-ubyte.gz"),
-                      find("t10k-labels-idx1-ubyte", "t10k-labels-idx1-ubyte.gz"))
+# The CLI's loader: the fixed 50000-image train / val split, and each IDX
+# file found plain or gzipped under $CYCLIC_FF_DATA_DIR (default `.`).
+try:
+    train, val, test = load_datasets(
+        effective_config(None, ["dataset=mnist"]))
+except OSError as e:
+    sys.exit(f"{e} (set CYCLIC_FF_DATA_DIR)")
 
 cfg = TrainConfig(generator=GeneratorSpec("complete", 4), d_out=200, T=3,
                   theta=1.0, fusion=FusionMode("overlay"),

@@ -3,12 +3,13 @@ embedding-file template exporter.
 
 Configs are flat ``key = value`` text files; any key can be overridden on
 the command line with ``--set key=value``. Exit codes: 0 success, 1 runtime
-failure, 2 usage/config error.
+failure, 2 usage/config error: anything rejected in a command's input phase.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -32,6 +33,18 @@ from .training import TrainConfig, evaluate, run_config
 
 class ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def input_phase():
+    """A command's input phase: everything it reads and checks before its
+    first run trains or its first output is written. A ValueError or
+    OSError raised inside is an input error (exit 2); one raised after the
+    phase is a runtime failure (exit 1)."""
+    try:
+        yield
+    except (ValueError, OSError) as e:
+        raise ConfigError(str(e)) from None
 
 
 # `dataset = mnist` trains on this many leading images of the training
@@ -95,12 +108,8 @@ def _setting(item: str, where: str) -> tuple[str, str]:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as e:
-        raise ConfigError(f"{path}: {e}") from None
     out = {}
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             key, value = _setting(line, f"{path}:{lineno}")
@@ -133,64 +142,43 @@ def to_train_config(cfg: dict[str, str]) -> TrainConfig:
         return {key: _parse(cfg, key, kind) for key, kind in kinds.items()}
 
     train = parsed(TRAIN_KEYS)
-    try:
-        gen = GeneratorSpec(kind=cfg["graph"], **parsed(GENERATOR_KEYS))
-        return TrainConfig(generator=gen, fusion=FusionMode(cfg["fusion"]),
-                           baseline=cfg["baseline"], **train)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    gen = GeneratorSpec(kind=cfg["graph"], **parsed(GENERATOR_KEYS))
+    return TrainConfig(generator=gen, fusion=FusionMode(cfg["fusion"]),
+                       baseline=cfg["baseline"], **train)
 
 
 def _data_path(cfg: dict[str, str], key: str) -> str:
     """The file named by the data key `key`: as given when it is absolute or
-    exists, else under $CYCLIC_FF_DATA_DIR (default `.`)."""
-    value = cfg[key]
-    if not value:
+    exists, else under $CYCLIC_FF_DATA_DIR (default `.`); a missing name is
+    tried with `.gz` added or removed, as IDX files read plain or gzipped."""
+    path = cfg[key]
+    if not path:
         raise ConfigError(f"{key} is not set")
-    if os.path.isabs(value) or os.path.exists(value):
-        return value
-    root = os.environ.get("CYCLIC_FF_DATA_DIR", ".")
-    return os.path.join(root, value)
+    if not (os.path.isabs(path) or os.path.exists(path)):
+        path = os.path.join(os.environ.get("CYCLIC_FF_DATA_DIR", "."), path)
+    other = path[:-3] if path.endswith(".gz") else path + ".gz"
+    if not os.path.exists(path) and os.path.exists(other):
+        return other
+    return path
 
 
 def _data_settings(cfg: dict[str, str]) -> dict:
-    """Parse and range-check the data keys the config's dataset uses; the
-    val_fraction rules are `split`'s."""
+    """Parse the data keys the config's dataset uses; their ranges are
+    checked by what takes them (`check_seed`, `synth_blobs`, `split`)."""
     kind = cfg["dataset"]
     if kind not in ("mnist", "embeddings", "synth"):
         raise ConfigError(f"unknown dataset {kind!r}")
     s = {"seed": _parse(cfg, "seed", int)}
-    try:
-        check_seed(s["seed"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    check_seed(s["seed"])
     if kind == "mnist":
         return s
     s["val_fraction"] = _parse(cfg, "val_fraction", float)
     if kind == "synth":
-        n, dim, classes = (_parse(cfg, k, int) for k in (
-            "synth_n_per_class", "synth_dim", "synth_classes"))
-        sep = _parse(cfg, "synth_separation", float)
-        if n < 1 or dim < 1:
-            raise ConfigError("synth_n_per_class and synth_dim must be >= 1")
-        if classes < 2:
-            raise ConfigError(f"synth_classes is {classes}, need at least 2")
-        if classes > dim:
-            raise ConfigError(f"synth_classes {classes} > synth_dim {dim}")
-        if not (np.isfinite(sep) and sep >= 0):
-            raise ConfigError("synth_separation must be finite and >= 0")
-        s.update(n=n, dim=dim, classes=classes, sep=sep)
+        s.update(n=_parse(cfg, "synth_n_per_class", int),
+                 dim=_parse(cfg, "synth_dim", int),
+                 classes=_parse(cfg, "synth_classes", int),
+                 sep=_parse(cfg, "synth_separation", float))
     return s
-
-
-def _checked(fn, *args):
-    """`fn(*args)`, with its ValueError or OSError (a malformed or
-    unreadable file, a split with no training rows) reported as an input
-    error (exit 2) rather than a runtime failure."""
-    try:
-        return fn(*args)
-    except (ValueError, OSError) as e:
-        raise ConfigError(str(e)) from None
 
 
 def _check_test_set(test: Dataset, dim: int, n_classes: int, who: str,
@@ -207,27 +195,23 @@ def _check_test_set(test: Dataset, dim: int, n_classes: int, who: str,
 def _test_set(cfg: dict[str, str], s: dict) -> Dataset:
     """The test split of the config's dataset, `s` its data settings."""
     if cfg["dataset"] == "mnist":
-        return _checked(load_mnist_idx, _data_path(cfg, "mnist_test_images"),
-                        _data_path(cfg, "mnist_test_labels"))
+        return load_mnist_idx(_data_path(cfg, "mnist_test_images"),
+                              _data_path(cfg, "mnist_test_labels"))
     if cfg["dataset"] == "embeddings":
-        return _checked(load_embeddings, _data_path(cfg, "embeddings_test"))
-    return synth_blobs(max(s["n"] // 4, 1), s["dim"], s["classes"], s["sep"],
+        return load_embeddings(_data_path(cfg, "embeddings_test"))
+    # At least one row per class; a negative n reaches synth_blobs' check.
+    return synth_blobs(s["n"] // 4 or 1, s["dim"], s["classes"], s["sep"],
                        make_rng(s["seed"], "synth-test"))
 
 
-def load_test_set(cfg: dict[str, str]) -> Dataset:
-    """The test split of the config's dataset; no training data is read."""
-    return _test_set(cfg, _data_settings(cfg))
-
-
 def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
-    """Resolve (train, val, test) from the config's dataset block; a bad
-    file, a split with no training rows, or a test set whose dim or
-    n_classes differs from the training data's is a ConfigError."""
+    """Resolve (train, val, test) from the config's dataset block. A bad
+    value or file, fewer than 2 classes, a split with no training rows or a
+    test set unlike the training data raises: an input error (exit 2)."""
     s = _data_settings(cfg)
     if cfg["dataset"] == "mnist":
         path = _data_path(cfg, "mnist_images")
-        full = _checked(load_mnist_idx, path, _data_path(cfg, "mnist_labels"))
+        full = load_mnist_idx(path, _data_path(cfg, "mnist_labels"))
         if full.n_samples < MNIST_TRAIN_ROWS:
             raise ConfigError(f"{path}: {full.n_samples} images, the fixed "
                               f"split needs at least {MNIST_TRAIN_ROWS}")
@@ -237,15 +221,16 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
     else:
         if cfg["dataset"] == "embeddings":
             path = _data_path(cfg, "embeddings_train")
-            full = _checked(load_embeddings, path)
-            if full.n_classes < 2:
-                raise ConfigError(
-                    f"{path}: n_classes is {full.n_classes}, need at least 2")
+            full = load_embeddings(path)
         else:
+            path = "synth"
             full = synth_blobs(s["n"], s["dim"], s["classes"], s["sep"],
                                make_rng(s["seed"], "synth-data"))
-        train, val = _checked(split, full, s["val_fraction"],
-                              make_rng(s["seed"], "data-shuffle"))
+        train, val = split(full, s["val_fraction"],
+                           make_rng(s["seed"], "data-shuffle"))
+    if full.n_classes < 2:
+        raise ConfigError(
+            f"{path}: n_classes is {full.n_classes}, need at least 2")
     test = _test_set(cfg, s)
     _check_test_set(test, full.dim, full.n_classes, cfg["dataset"],
                     "the training set")
@@ -307,12 +292,13 @@ def _make_out_dir(cfg: dict[str, str]) -> str:
 
 
 def cmd_train(args) -> int:
-    cfg = effective_config(args.config, args.set)
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    tc = to_train_config(cfg)
-    train, val, test = load_datasets(cfg)
-    out_dir = _make_out_dir(cfg)
+    with input_phase():
+        cfg = effective_config(args.config, args.set)
+        if args.seed is not None:
+            cfg["seed"] = str(args.seed)
+        tc = to_train_config(cfg)
+        train, val, test = load_datasets(cfg)
+        out_dir = _make_out_dir(cfg)
 
     started = time.time()
     model, metrics = run_config(tc, train, val, test)
@@ -333,10 +319,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = effective_config(args.config, args.set)
-    net = _checked(load_checkpoint, args.checkpoint)
-    test = load_test_set(cfg)
-    _check_test_set(test, net.raw_dim, net.n_classes, "eval", "the checkpoint")
+    with input_phase():
+        cfg = effective_config(args.config, args.set)
+        net = load_checkpoint(args.checkpoint)
+        test = _test_set(cfg, _data_settings(cfg))
+        _check_test_set(test, net.raw_dim, net.n_classes, "eval",
+                        "the checkpoint")
     print(f"test_error_pct={evaluate(net, test)}")
     return 0
 
@@ -360,44 +348,49 @@ def _one_sweep_run(job: tuple[TrainConfig, dict[str, str]]) -> float:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs is {args.jobs}, need at least 1")
-    base = effective_config(args.config, None)
-    axes = []
-    for item in args.set or []:
-        key, values = _setting(item, "--set")
-        if key in (k for k, _ in axes):
-            raise ConfigError(f"sweep: --set {key} is given twice")
-        if key == "out_dir":
-            raise ConfigError("sweep: out_dir cannot be swept; the summary "
-                              "goes to the config's out_dir")
-        if key == "seed":
-            raise ConfigError("sweep: seed cannot be a --set axis; list "
-                              "the seeds with --seeds")
-        vals = [v.strip() for v in values.split(",") if v.strip()]
-        if not vals:
-            raise ConfigError(f"--set {key}: empty value list")
-        axes.append((key, vals))
-    if not axes:
-        raise ConfigError("sweep: need at least one --set key=v1,v2,...")
-    seeds = _parse_seeds(args.seeds)
-    if not seeds:
-        raise ConfigError("sweep: empty seed list")
-
-    combos = list(itertools.product(*(vals for _, vals in axes)))
-    keys = [k for k, _ in axes]
-
     # Every job's config is built and its data read and checked before
     # out_dir is made and the first run trains.
-    jobs = []
-    for combo in combos:
-        for seed in seeds:
-            cfg = dict(base)
-            cfg.update(dict(zip(keys, combo)))
-            cfg["seed"] = str(seed)
-            jobs.append((to_train_config(cfg), cfg))
-            load_datasets(cfg)
-    out_dir = _make_out_dir(base)
+    with input_phase():
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs is {args.jobs}, need at least 1")
+        base = effective_config(args.config, None)
+        axes = []
+        for item in args.set or []:
+            key, values = _setting(item, "--set")
+            if key in (k for k, _ in axes):
+                raise ConfigError(f"sweep: --set {key} is given twice")
+            if key == "out_dir":
+                raise ConfigError("sweep: out_dir cannot be swept; the "
+                                  "summary goes to the config's out_dir")
+            if key == "seed":
+                raise ConfigError("sweep: seed cannot be a --set axis; list "
+                                  "the seeds with --seeds")
+            vals = [v.strip() for v in values.split(",") if v.strip()]
+            if not vals:
+                raise ConfigError(f"--set {key}: empty value list")
+            # A repeat would run identical jobs as separate rows or seeds.
+            if len(set(vals)) < len(vals):
+                raise ConfigError(f"sweep: --set {key} gives a value twice")
+            axes.append((key, vals))
+        if not axes:
+            raise ConfigError("sweep: need at least one --set key=v1,v2,...")
+        seeds = _parse_seeds(args.seeds)
+        if not seeds:
+            raise ConfigError("sweep: empty seed list")
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError("sweep: --seeds gives a seed twice")
+
+        combos = list(itertools.product(*(vals for _, vals in axes)))
+        keys = [k for k, _ in axes]
+        jobs = []
+        for combo in combos:
+            for seed in seeds:
+                cfg = dict(base)
+                cfg.update(dict(zip(keys, combo)))
+                cfg["seed"] = str(seed)
+                jobs.append((to_train_config(cfg), cfg))
+                load_datasets(cfg)
+        out_dir = _make_out_dir(base)
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -421,8 +414,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_inspect_graph(args) -> int:
-    cfg = effective_config(args.config, args.set)
-    tc = to_train_config(cfg)
+    with input_phase():
+        tc = to_train_config(effective_config(args.config, args.set))
     topo = generate(tc.generator)
     sys.stdout.write(to_edge_list(topo))
     for j in range(topo.n_neurons):
@@ -436,16 +429,19 @@ def cmd_inspect_graph(args) -> int:
 
 
 def cmd_export_embeddings_template(args) -> int:
-    if args.classes < 2:
-        raise ConfigError("--classes must be >= 2")
-    if args.dim < args.classes:
-        raise ConfigError(f"--dim {args.dim} < --classes {args.classes}")
-    if args.samples < args.classes:
-        raise ConfigError(
-            f"--samples {args.samples} < --classes {args.classes}")
-    d = synth_blobs(args.samples // args.classes, args.dim, args.classes,
-                    1.0, make_rng(0, 0))
-    save_embeddings(d, args.out)
+    # All of it is the input phase: an --out that cannot be written (a
+    # directory, a missing parent) exits 2 like a bad flag.
+    with input_phase():
+        if args.classes < 2:
+            raise ConfigError("--classes must be >= 2")
+        if args.dim < args.classes:
+            raise ConfigError(f"--dim {args.dim} < --classes {args.classes}")
+        if args.samples < args.classes:
+            raise ConfigError(
+                f"--samples {args.samples} < --classes {args.classes}")
+        d = synth_blobs(args.samples // args.classes, args.dim, args.classes,
+                        1.0, make_rng(0, 0))
+        save_embeddings(d, args.out)
     print(f"wrote template embedding file: {args.out} "
           f"({d.n_samples} samples, dim {d.dim}, {d.n_classes} classes)")
     return 0
@@ -500,7 +496,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

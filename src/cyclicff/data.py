@@ -15,22 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_finite
+from .numerics import check_finite, check_labels
 
 MNIST_IMAGE_MAGIC = 2051
 MNIST_LABEL_MAGIC = 2049
 
 EMBEDDING_MAGIC = b"CNNE"
 EMBEDDING_VERSION = 1
-
-
-def check_labels(labels: np.ndarray, n_classes: int, what: str) -> None:
-    """ValueError, named by `what`, unless every label is in
-    [0, n_classes)."""
-    labels = np.asarray(labels)
-    if len(labels) and (int(labels.min()) < 0
-                        or int(labels.max()) >= n_classes):
-        raise ValueError(f"{what}: label out of range")
 
 
 def as_features(features, what: str) -> np.ndarray:
@@ -102,6 +93,9 @@ def _fuse(features: np.ndarray, label_vecs: np.ndarray,
           mode: FusionMode) -> np.ndarray:
     if mode.mode == "concat":
         return np.concatenate([features, label_vecs], axis=1)
+    if features.shape[1] < label_vecs.shape[1]:
+        raise ValueError(f"overlay needs dim >= n_classes, got dim "
+                         f"{features.shape[1]} < {label_vecs.shape[1]}")
     out = features.copy()
     out[:, : label_vecs.shape[1]] = label_vecs
     return out
@@ -122,8 +116,6 @@ def fuse_inputs(features: np.ndarray, labels: np.ndarray, n_classes: int,
     if not len(labels):
         raise ValueError("fuse_inputs: empty batch")
     check_labels(labels, n_classes, "fuse_inputs")
-    if mode.mode == "overlay" and features.shape[1] < n_classes:
-        raise ValueError("fuse_inputs: overlay needs dim >= n_classes")
 
     batch = len(labels)
     eye = np.eye(n_classes, dtype=np.float64)

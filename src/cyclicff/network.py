@@ -15,13 +15,13 @@ from functools import partial
 
 import numpy as np
 
-from .data import (FusionMode, FusedBatch, as_features, check_labels,
-                   neutral_fusion, read_array, read_struct)
+from .data import (FusionMode, FusedBatch, as_features, neutral_fusion,
+                   read_array, read_struct)
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
                      ff_loss_grad_outputs)
-from .numerics import (EPS_NORM, AdamState, adam_step, check_finite, relu,
-                       row_norms, softmax_xent)
+from .numerics import (EPS_NORM, AdamState, adam_step, check_finite,
+                       check_labels, relu, row_norms, softmax_xent)
 
 CHECKPOINT_MAGIC = b"CNN1"
 CHECKPOINT_VERSION = 2
@@ -175,7 +175,6 @@ def readout_forward_loss_grad(net: CyclicNet, neu_outputs: list[np.ndarray],
     """Softmax readout over the concatenation of all neurons' neutral
     outputs; returns (y_hat, loss, grad w.r.t. readout_W)."""
     labels = np.asarray(labels, dtype=np.int64)
-    check_labels(labels, net.n_classes, "readout")
     x = np.concatenate(neu_outputs, axis=1)
     if x.shape[1] != net.readout_W.shape[1]:
         raise ValueError(

@@ -63,6 +63,15 @@ def check_finite(a: np.ndarray, message: str) -> None:
             raise ValueError(message)
 
 
+def check_labels(labels: np.ndarray, n_classes: int, what: str) -> None:
+    """ValueError, named by `what`, unless every label is in
+    [0, n_classes)."""
+    labels = np.asarray(labels)
+    if len(labels) and (int(labels.min()) < 0
+                        or int(labels.max()) >= n_classes):
+        raise ValueError(f"{what}: label out of range")
+
+
 def row_norms(m: np.ndarray) -> np.ndarray:
     """max(||row||_2, 1e-8) for each row of a (batch x dim) matrix. The
     guard makes a zero row a fixed point of dividing by it."""
@@ -109,8 +118,14 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """(softmax y_hat, mean NLL of the labels with each probability clipped
     at 1e-12, y_hat - onehot): the last is the loss gradient w.r.t. the
-    logits times the batch size, left for the caller to divide."""
+    logits times the batch size, left for the caller to divide. A label
+    count other than the row count, or a label outside [0, n_classes),
+    n_classes the logits' width, is a ValueError."""
     y_hat = softmax_stable(logits)
+    if len(labels) != len(y_hat):
+        raise ValueError(f"softmax_xent: {len(labels)} labels for "
+                         f"{len(y_hat)} rows")
+    check_labels(labels, y_hat.shape[-1], "softmax_xent")
     rows = np.arange(len(labels))
     loss = float(-np.mean(np.log(np.clip(y_hat[rows, labels], 1e-12, None))))
     delta = y_hat.copy()

@@ -211,6 +211,15 @@ class BPChainMLP:
             start = stop + d_out
         return weights, biases
 
+    def _features(self, x, what: str) -> np.ndarray:
+        """`x` as float64 features; ValueError, named by `what`, unless it
+        is 2-D and as wide as the first layer."""
+        x = as_features(x, what)
+        if x.shape[1] != self.weights[0].shape[1]:
+            raise ValueError(f"{what}: features have {x.shape[1]} cols, "
+                             f"the model takes {self.weights[0].shape[1]}")
+        return x
+
     def _activations(self, x: np.ndarray):
         """Yields x, then each hidden layer's ReLU output in turn."""
         yield x
@@ -227,7 +236,8 @@ class BPChainMLP:
         of one flat vector laid out like `params`: `out` when given, else a
         fresh one, so an earlier call's gradients are never overwritten."""
         labels = np.asarray(labels, dtype=np.int64)
-        acts = list(self._activations(x))
+        acts = list(self._activations(
+            self._features(x, "BPChainMLP.loss_and_grads")))
         _, loss, delta = softmax_xent(self._logits(acts[-1]), labels)
         delta /= len(labels)
         grad = np.empty_like(self.params) if out is None else out
@@ -253,8 +263,8 @@ class BPChainMLP:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Argmax of the logits, holding only the current layer's
         activation: backprop's per-layer activations are not needed."""
-        for h in self._activations(as_features(features,
-                                               "BPChainMLP.predict")):
+        for h in self._activations(self._features(features,
+                                                  "BPChainMLP.predict")):
             pass
         return np.argmax(self._logits(h), axis=1)
 

@@ -48,6 +48,12 @@ def run_cli(args):
     return main(args)
 
 
+# Synth values that synth_blobs or Dataset reject for the training pool and
+# the test set alike, so train, eval and sweep all exit 2 on them.
+BAD_SYNTH_VALUES = ["synth_separation=inf", "synth_separation=-1",
+                    "synth_n_per_class=-1", "synth_classes=30", "synth_dim=x"]
+
+
 @pytest.fixture
 def no_training(monkeypatch):
     """Fail the test if any run starts training."""
@@ -177,7 +183,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("value", [
         "synth_dim=x", "synth_classes=30", "val_fraction=1.5",
         "synth_separation=-1", "synth_n_per_class=0", "synth_classes=1",
-        "lr=nan", "lr=inf", "theta=nan", "weight_decay=nan"])
+        "lr=nan", "lr=inf", "theta=nan", "weight_decay=nan",
+        "synth_separation=inf", "synth_n_per_class=-1"])
     def test_bad_data_value_exit_2(self, cfg_path, tmp_path, monkeypatch,
                                    value):
         calls = []
@@ -343,6 +350,16 @@ class TestTrainCommand:
         monkeypatch.setattr(cli, "run_config", diverge)
         assert run_cli(["train", "--config", cfg_path,
                         "--set", f"out_dir={tmp_path / 'out'}"]) == 1
+
+    def test_missing_file_while_training_exit_1(self, cfg_path, tmp_path,
+                                                monkeypatch, capsys):
+        # Past the input phase, even a missing file is a runtime failure.
+        def lost(net, path):
+            raise FileNotFoundError(f"{path}: out_dir was removed")
+        monkeypatch.setattr(cli, "save_checkpoint", lost)
+        assert run_cli(["train", "--config", cfg_path,
+                        "--set", f"out_dir={tmp_path / 'out'}"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -576,6 +593,20 @@ class TestEvalCommand:
             assert run_cli(args + [str(pipe)]) == 0
         assert capsys.readouterr().out == from_file
 
+    @pytest.mark.parametrize("value", BAD_SYNTH_VALUES)
+    def test_bad_synth_value_exit_2(self, cfg_path, tmp_path, monkeypatch,
+                                    value):
+        net = build_network(generate(GeneratorSpec("complete", 3)), 8 + 2,
+                            8, 2, 1.0, 2, make_rng(0, "weights"))
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        monkeypatch.setattr(cli, "evaluate",
+                            lambda *a: pytest.fail("evaluate was called"))
+        out_dir = tmp_path / "out"
+        assert run_cli(["eval", "--config", cfg_path, "--set", value,
+                        "--set", f"out_dir={out_dir}",
+                        "--checkpoint", str(tmp_path / "net.ckpt")]) == 2
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("override,message", [
         ("synth_dim=9", "dim 9, the checkpoint expects 8"),
         ("synth_classes=3", "n_classes 3, the checkpoint expects 2"),
@@ -693,6 +724,28 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", BAD_SYNTH_VALUES + [
+        "synth_n_per_class=0", "synth_classes=1"])
+    def test_bad_synth_value_creates_no_out_dir(self, sweep_cfg, tmp_path,
+                                                no_training, value):
+        assert run_cli(["sweep", "--config", sweep_cfg, "--set", "T=1,2",
+                        "--set", value, "--seeds", "1"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["--set", "theta=1,1", "--seeds", "1"],
+         "--set theta gives a value twice"),
+        (["--set", "T=1,2", "--seeds", "3,3"], "--seeds gives a seed twice"),
+        (["--set", "T=1,2", "--seeds", "03,3"],
+         "--seeds gives a seed twice"),
+    ], ids=["value", "seed", "seed-as-number"])
+    def test_repeated_value_exit_2(self, sweep_cfg, tmp_path, capsys,
+                                   no_training, args, message):
+        # A repeat would train identical jobs as separate rows or seeds.
+        assert run_cli(["sweep", "--config", sweep_cfg] + args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_axis_exit_2(self, cfg_path, capsys, no_training):
         # --seeds sets every job's seed, so a seed axis would be ignored.
         assert run_cli(["sweep", "--config", cfg_path, "--set", "seed=1,2",
@@ -779,6 +832,13 @@ class TestExportTemplate:
         d = load_embeddings(out)
         assert d.dim == 16 and d.n_classes == 2
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, where):
+        # Writing the file is the command's whole input phase.
+        out = tmp_path if where == "directory" else tmp_path / "no" / "t.cnne"
+        assert run_cli(["export-embeddings-template", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     @pytest.mark.parametrize("args,message", [
         (["--classes", "0"], "--classes must be >= 2"),
         (["--classes", "1"], "--classes must be >= 2"),
@@ -815,6 +875,35 @@ class TestMnistConfig:
             assert a.base is not None and a.base is b.base
             np.testing.assert_array_equal(np.concatenate([a, b]),
                                           getattr(full, name))
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzipped"])
+    def test_names_find_plain_or_gzipped_files(self, tmp_path, monkeypatch,
+                                               gz):
+        # The default keys name the .gz files. Plain files under the plain
+        # names are found from them, and .gz files from the plain names.
+        n = cli.MNIST_TRAIN_ROWS + 1
+        rng = make_rng(3, 0)
+        names = {key: cli.DEFAULTS[key] for key in (
+            "mnist_images", "mnist_labels", "mnist_test_images",
+            "mnist_test_labels")}
+        for key, name in names.items():
+            rows = 3 if "test" in key else n
+            path = tmp_path / (name if gz else name.removesuffix(".gz"))
+            if key.endswith("images"):
+                write_idx_images(path, rng.integers(
+                    0, 256, (rows, 1, 1), dtype=np.uint8), gz=gz)
+            else:
+                write_idx_labels(path, rng.integers(0, 10, rows), gz=gz)
+        monkeypatch.setenv("CYCLIC_FF_DATA_DIR", str(tmp_path))
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        sets = ["dataset=mnist"]
+        if gz:
+            sets += [f"{key}={name.removesuffix('.gz')}"
+                     for key, name in names.items()]
+        train, val, test = cli.load_datasets(effective_config(None, sets))
+        assert (train.n_samples, val.n_samples, test.n_samples) == (
+            n - 1, 1, 3)
 
     def test_fixed_split_from_idx_files(self, tmp_path, capsys):
         # Small synthetic IDX files standing in for the real layout check is

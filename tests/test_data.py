@@ -196,6 +196,12 @@ class TestFuseInputs:
             fuse_inputs(np.zeros((1, 4)), np.array([0]), 10,
                         FusionMode("overlay"), rng)
 
+    def test_neutral_fusion_overlay_needs_width(self):
+        # The rule fuse_inputs applies, not numpy's broadcast error.
+        with pytest.raises(ValueError, match=re.escape(
+                "overlay needs dim >= n_classes, got dim 2 < 3")):
+            neutral_fusion(np.zeros((2, 2)), 3, FusionMode("overlay"))
+
     @pytest.mark.parametrize("labels,message", [
         ([0, -1], "label out of range"), ([0, 3], "label out of range"),
         ([], "empty batch")], ids=["minus-one", "n-classes", "empty"])

@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import peak_bytes
 from cyclicff.numerics import (ADAM_BLOCK, ADAM_BLOCK_BYTES, AdamState,
                                adam_step, check_finite, l2_normalize_rows,
-                               make_rng, sigmoid, softmax_stable)
+                               make_rng, sigmoid, softmax_stable,
+                               softmax_xent)
 
 finite_vectors = arrays(np.float64, st.integers(1, 12),
                         elements=st.floats(-1e6, 1e6, allow_nan=False))
@@ -110,6 +111,21 @@ class TestSoftmax:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             softmax_stable(np.array([]))
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_xent_label_out_of_range(self, label):
+        # n_classes is the logits' width, so -1 is not the last class.
+        with pytest.raises(ValueError,
+                           match="softmax_xent: label out of range"):
+            softmax_xent(np.zeros((2, 3)), np.array([0, label]))
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_xent_label_count_must_match_rows(self, n_labels):
+        # One label fewer trained only the first row's loss, yet every row
+        # entered the gradient; one more was an IndexError.
+        with pytest.raises(ValueError, match=(
+                f"softmax_xent: {n_labels} labels for 2 rows")):
+            softmax_xent(np.zeros((2, 3)), np.zeros(n_labels, dtype=int))
 
     @given(finite_vectors)
     @settings(max_examples=50)

@@ -230,6 +230,25 @@ class TestBPChainBaseline:
         np.testing.assert_array_equal(model.params, before)
         assert model.adam.t == 0
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range_rejected(self, label):
+        # Neither trained as the last class (-1) nor an IndexError (3 of 3).
+        model = BPChainMLP(dim=4, width=5, n_classes=3, rng=make_rng(0, 0))
+        with pytest.raises(ValueError, match="label out of range"):
+            model.loss_and_grads(np.zeros((2, 4)), np.array([0, label]))
+
+    @pytest.mark.parametrize("call", ["predict", "loss_and_grads"])
+    def test_wrong_feature_width_rejected(self, call):
+        model = BPChainMLP(dim=4, width=5, n_classes=3, rng=make_rng(0, 0))
+        x = np.zeros((2, 6))
+        with pytest.raises(ValueError, match=(
+                f"BPChainMLP.{call}: features have 6 cols, the model "
+                "takes 4")):
+            if call == "predict":
+                model.predict(x)
+            else:
+                model.loss_and_grads(x, np.array([0, 1]))
+
     def test_predict_holds_one_layer_at_a_time(self):
         # Bitwise the training forward's argmax, in under 4 activations.
         rng = make_rng(5, 0)
