@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -192,26 +193,45 @@ def _check_test_set(test: Dataset, dim: int, n_classes: int, who: str,
                               f"{reference} expects {want}")
 
 
-def _test_set(cfg: dict[str, str], s: dict) -> Dataset:
+def _read(files: dict | None, loader, *paths: str) -> Dataset:
+    """`loader(*paths)`. With a `files` memo the dataset is read once and
+    kept under its files' resolved paths, which name it whatever config
+    asks for it."""
+    if files is None:
+        return loader(*paths)
+    key = tuple(map(os.path.realpath, paths))
+    if key not in files:
+        files[key] = loader(*paths)
+    return files[key]
+
+
+def _test_set(cfg: dict[str, str], s: dict,
+              files: dict | None = None) -> Dataset:
     """The test split of the config's dataset, `s` its data settings."""
     if cfg["dataset"] == "mnist":
-        return load_mnist_idx(_data_path(cfg, "mnist_test_images"),
-                              _data_path(cfg, "mnist_test_labels"))
+        return _read(files, load_mnist_idx,
+                     _data_path(cfg, "mnist_test_images"),
+                     _data_path(cfg, "mnist_test_labels"))
     if cfg["dataset"] == "embeddings":
-        return load_embeddings(_data_path(cfg, "embeddings_test"))
+        return _read(files, load_embeddings,
+                     _data_path(cfg, "embeddings_test"))
     # At least one row per class; a negative n reaches synth_blobs' check.
     return synth_blobs(s["n"] // 4 or 1, s["dim"], s["classes"], s["sep"],
                        make_rng(s["seed"], "synth-test"))
 
 
-def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
+def load_datasets(cfg: dict[str, str], files: dict | None = None
+                  ) -> tuple[Dataset, Dataset, Dataset]:
     """Resolve (train, val, test) from the config's dataset block. A bad
     value or file, fewer than 2 classes, a split with no training rows or a
-    test set unlike the training data raises: an input error (exit 2)."""
+    test set unlike the training data raises: an input error (exit 2).
+    Data files are read through the `files` memo (see `_read`); the split
+    and synthetic data are drawn per call, from the config's seed."""
     s = _data_settings(cfg)
     if cfg["dataset"] == "mnist":
         path = _data_path(cfg, "mnist_images")
-        full = load_mnist_idx(path, _data_path(cfg, "mnist_labels"))
+        full = _read(files, load_mnist_idx, path,
+                     _data_path(cfg, "mnist_labels"))
         if full.n_samples < MNIST_TRAIN_ROWS:
             raise ConfigError(f"{path}: {full.n_samples} images, the fixed "
                               f"split needs at least {MNIST_TRAIN_ROWS}")
@@ -221,7 +241,7 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
     else:
         if cfg["dataset"] == "embeddings":
             path = _data_path(cfg, "embeddings_train")
-            full = load_embeddings(path)
+            full = _read(files, load_embeddings, path)
         else:
             path = "synth"
             full = synth_blobs(s["n"], s["dim"], s["classes"], s["sep"],
@@ -231,7 +251,7 @@ def load_datasets(cfg: dict[str, str]) -> tuple[Dataset, Dataset, Dataset]:
     if full.n_classes < 2:
         raise ConfigError(
             f"{path}: n_classes is {full.n_classes}, need at least 2")
-    test = _test_set(cfg, s)
+    test = _test_set(cfg, s, files)
     _check_test_set(test, full.dim, full.n_classes, cfg["dataset"],
                     "the training set")
     return train, val, test
@@ -340,14 +360,29 @@ def _parse_seeds(spec: str) -> list[int]:
             f"--seeds {spec!r}: expected a,b,... or lo..hi") from None
 
 
+# The data files of the running sweep, by resolved paths (see `_read`):
+# its input phase reads each file once, and its jobs train on those
+# datasets, here or in workers forked after that phase. `cmd_sweep`
+# empties it when it returns, so no data outlives the sweep.
+_SWEEP_FILES: dict[tuple[str, ...], Dataset] = {}
+
+
 def _one_sweep_run(job: tuple[TrainConfig, dict[str, str]]) -> float:
-    """One sweep job; it builds its own data, so data keys can be swept."""
+    """One sweep job, on the data files in `_SWEEP_FILES`; its split and
+    synthetic data are its own, so data keys can be swept."""
     tc, cfg = job
-    _, metrics = run_config(tc, *load_datasets(cfg))
+    _, metrics = run_config(tc, *load_datasets(cfg, _SWEEP_FILES))
     return metrics.test_err
 
 
 def cmd_sweep(args) -> int:
+    try:
+        return _sweep(args)
+    finally:
+        _SWEEP_FILES.clear()
+
+
+def _sweep(args) -> int:
     # Every job's config is built and its data read and checked before
     # out_dir is made and the first run trains.
     with input_phase():
@@ -389,11 +424,15 @@ def cmd_sweep(args) -> int:
                 cfg.update(dict(zip(keys, combo)))
                 cfg["seed"] = str(seed)
                 jobs.append((to_train_config(cfg), cfg))
-                load_datasets(cfg)
+                load_datasets(cfg, _SWEEP_FILES)
         out_dir = _make_out_dir(base)
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # Forked, so the workers inherit the data read above rather than
+        # being sent it or reading it again.
+        with ProcessPoolExecutor(
+                max_workers=args.jobs,
+                mp_context=multiprocessing.get_context("fork")) as pool:
             errs = list(pool.map(_one_sweep_run, jobs))
     else:
         errs = list(map(_one_sweep_run, jobs))

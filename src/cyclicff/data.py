@@ -7,6 +7,7 @@ embeddings append the label vector.
 
 from __future__ import annotations
 
+import copy
 import gzip
 import math
 import struct
@@ -65,8 +66,12 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, idx) -> "Dataset":
-        return Dataset(self.features[idx], self.labels[idx],
-                       self.n_classes, self.name)
+        """The rows `idx` (a slice or 1-D index array), unchecked: they
+        were checked with this dataset, so `__post_init__` does not run."""
+        d = copy.copy(self)
+        object.__setattr__(d, "features", self.features[idx])
+        object.__setattr__(d, "labels", self.labels[idx])
+        return d
 
 
 @dataclass(frozen=True)

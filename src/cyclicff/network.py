@@ -255,7 +255,8 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
 
     Rows are independent, so they are processed in blocks of
     PREDICT_BLOCK_ROWS; the per-row arithmetic, and so the result, does not
-    depend on the block.
+    depend on the block. A block whose logits are not all finite (weights
+    large enough to overflow) is a ValueError, not an argmax of them.
     """
     features = as_features(features, "predict")
     if features.shape[1] != net.raw_dim:
@@ -267,8 +268,11 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
         h_neu = neutral_fusion(features[start:stop], net.n_classes,
                                net.fusion)
         # Unnamed, so no block's outputs are held while the next one runs.
-        logits = np.concatenate(_neutral_rounds(net, h_neu),
-                                axis=1) @ net.readout_W.T
+        # An overflow is reported by the check below, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = np.concatenate(_neutral_rounds(net, h_neu),
+                                    axis=1) @ net.readout_W.T
+        check_finite(logits, "predict: non-finite logits")
         preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds)
 

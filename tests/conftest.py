@@ -1,4 +1,6 @@
 import contextlib
+import ctypes
+import glob
 import gzip
 import os
 import struct
@@ -43,6 +45,41 @@ def mnist_paths():
         pytest.skip("MNIST IDX files not available (set CYCLIC_FF_DATA_DIR "
                     "to a directory holding the canonical files)")
     return paths
+
+
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS (the library benchmarks/run.py finds), or
+    None when there is none."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                          "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when there is none."""
+    lib = _bundled_openblas()
+    if lib is None:
+        return None
+    get = lib.scipy_openblas_get_num_threads64_
+    set_ = lib.scipy_openblas_set_num_threads64_
+    get.restype = ctypes.c_int
+    set_.argtypes = [ctypes.c_int]
+    return get, set_
+
+
+def openblas_config():
+    """The configuration string of numpy's bundled OpenBLAS (its version,
+    build options and core), or None when there is none."""
+    lib = _bundled_openblas()
+    if lib is None:
+        return None
+    lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+    return " ".join(lib.scipy_openblas_get_config64_().decode().split())
 
 
 def write_idx_images(path, images: np.ndarray, gz=False):

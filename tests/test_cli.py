@@ -11,6 +11,7 @@ from conftest import (OVERSIZED_CHECKPOINT, OVERSIZED_EMBEDDINGS,
                       UNRUNNABLE_CHECKPOINTS, chain_checkpoint,
                       fifo_serving, write_idx_images, write_idx_labels)
 from cyclicff import cli
+from cyclicff import data as data_module
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
                           effective_config, main, parse_config_file,
                           to_train_config)
@@ -19,7 +20,7 @@ from cyclicff.graph import GeneratorSpec, generate
 from cyclicff.network import (MAX_T, build_network, load_checkpoint,
                               save_checkpoint)
 from cyclicff.numerics import make_rng
-from cyclicff.training import TrainConfig
+from cyclicff.training import Metrics, TrainConfig
 
 
 SYNTH_CFG = """
@@ -511,6 +512,21 @@ class TestEvalCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    def test_overflowing_logits_exit_1(self, cfg_path, tmp_path, capsys):
+        # Every weight is finite, so the checkpoint loads; its logits
+        # overflow, which predict reports after the input phase.
+        ckpt = tmp_path / "big.ckpt"
+        net = build_network(generate(GeneratorSpec("complete", 3)), 10, 8,
+                            2, 1.0, 2, make_rng(0, "weights"))
+        for p in net.neurons:
+            p.W *= 1e10
+        net.readout_W = 1e300 * np.sign(make_rng(0, 7).standard_normal(
+            net.readout_W.shape))
+        save_checkpoint(net, ckpt)
+        assert run_cli(["eval", "--config", cfg_path,
+                        "--checkpoint", str(ckpt)]) == 1
+        assert "error: predict: non-finite logits" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", sorted(UNRUNNABLE_CHECKPOINTS))
     def test_unrunnable_checkpoint_exit_2(self, cfg_path, tmp_path, capsys,
                                           case):
@@ -794,6 +810,157 @@ class TestSweepCommand:
             assert run_cli(["sweep", "--config", sweep_cfg, "--set", axis,
                             "--seeds", "1"]) == 0
         assert len(os.listdir(tmp_path / "out")) == 2
+
+
+def _logged(log, line, fn):
+    """`fn`, appending `line` to the file `log` on every call: a file, as
+    forked sweep workers are other processes."""
+    def call(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(line + "\n")
+        return fn(*args, **kwargs)
+    return call
+
+
+def fingerprint(train, val, test) -> float:
+    """A number that changes with a job's rows and its split."""
+    return float(train.features.sum() + 2 * val.features.sum()
+                 + 3 * test.features.sum())
+
+
+@pytest.fixture
+def data_calls(tmp_path, monkeypatch):
+    """Log each data file load (`load`), each Dataset scan (`scan`) and
+    each run (`run`). Runs do not train: their test error is the
+    fingerprint of their data. Returns a function that reads the log."""
+    log = tmp_path / "calls.log"
+    for name in ("load_embeddings", "load_mnist_idx"):
+        monkeypatch.setattr(cli, name, _logged(log, "load",
+                                               getattr(cli, name)))
+    monkeypatch.setattr(data_module, "check_finite",
+                        _logged(log, "scan", data_module.check_finite))
+
+    def run(tc, train, val, test):
+        return None, Metrics(test_err=fingerprint(train, val, test))
+
+    monkeypatch.setattr(cli, "run_config", _logged(log, "run", run))
+    return lambda: log.read_text().splitlines() if log.exists() else []
+
+
+def data_cfg(tmp_path, kind, rng_seed=0) -> Path:
+    """A config over a training and a test data file of `kind`: an
+    embedding file each, or an IDX image/label pair each (the training
+    pair one row longer than the fixed MNIST split)."""
+    rng = make_rng(rng_seed, 0)
+    if kind == "embeddings":
+        for name, n in (("train", 30), ("test", 10)):
+            save_embeddings(synth_blobs(n, 8, 2, 4.0, rng),
+                            tmp_path / f"{name}.cnne")
+        keys = (f"embeddings_train = {tmp_path / 'train.cnne'}\n"
+                f"embeddings_test = {tmp_path / 'test.cnne'}\n")
+    else:
+        keys = ""
+        for name, n in (("", cli.MNIST_TRAIN_ROWS + 1), ("test_", 5)):
+            write_idx_images(tmp_path / f"{name}img", rng.integers(
+                0, 256, (n, 2, 2), dtype=np.uint8))
+            write_idx_labels(tmp_path / f"{name}lab",
+                             rng.integers(0, 10, n))
+            keys += (f"mnist_{name}images = {tmp_path / (name + 'img')}\n"
+                     f"mnist_{name}labels = {tmp_path / (name + 'lab')}\n")
+    p = tmp_path / "data.cfg"
+    p.write_text(SYNTH_CFG + f"dataset = {kind}\n" + keys
+                 + f"out_dir = {tmp_path / 'out'}\n")
+    return p
+
+
+class TestSweepReadsEachFileOnce:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["embeddings", "mnist"])
+    def test_one_load_and_one_scan_per_file(self, tmp_path, data_calls,
+                                            kind, jobs):
+        # 2 values x 3 seeds over a training and a test file (for mnist,
+        # an IDX pair each, read by one load): each is read and scanned
+        # once, in the input phase, and all six jobs run on those reads.
+        cfg = data_cfg(tmp_path, kind)
+        written = len(data_calls())
+        assert run_cli(["sweep", "--config", str(cfg), "--set", "T=1,2",
+                        "--seeds", "1..3", "--jobs", str(jobs)]) == 0
+        calls = data_calls()[written:]
+        assert calls == ["load", "scan"] * 2 + ["run"] * 6
+        assert cli._SWEEP_FILES == {}
+
+    def test_synthetic_data_is_drawn_per_job(self, sweep_cfg, monkeypatch):
+        real = cli.run_config
+
+        def run(*args):
+            assert cli._SWEEP_FILES == {}
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_config", run)
+        assert run_cli(["sweep", "--config", sweep_cfg, "--set", "T=1,2",
+                        "--seeds", "1"]) == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_file_cut_after_the_input_phase(self, tmp_path, monkeypatch,
+                                            capsys, jobs):
+        # The jobs train on the bytes the input phase checked, so a file
+        # truncated after it changes nothing.
+        cfg = data_cfg(tmp_path, "embeddings")
+        args = ["sweep", "--config", str(cfg), "--set", "T=1,2",
+                "--seeds", "1,2", "--jobs", str(jobs)]
+        assert run_cli(args) == 0
+        summary = Path(capsys.readouterr().out.strip())
+        untouched = summary.read_bytes()
+        summary.unlink()
+
+        real = cli._make_out_dir
+
+        def make_and_truncate(cfg):
+            out_dir = real(cfg)
+            train = tmp_path / "train.cnne"
+            train.write_bytes(train.read_bytes()[:980])
+            return out_dir
+
+        monkeypatch.setattr(cli, "_make_out_dir", make_and_truncate)
+        assert run_cli(args) == 0
+        assert summary.read_bytes() == untouched
+        assert (tmp_path / "train.cnne").stat().st_size == 980
+
+    def test_each_sweep_reads_its_own_file(self, tmp_path, data_calls,
+                                           capsys):
+        # Two sweeps in one process; the training file is rewritten in
+        # between, so the second must not see the first one's data.
+        cfg = data_cfg(tmp_path, "embeddings")
+        args = ["sweep", "--config", str(cfg), "--set", "T=1,2",
+                "--seeds", "1"]
+        seen = []
+        for rng_seed in (0, 1):
+            data_cfg(tmp_path, "embeddings", rng_seed)
+            before = data_calls().count("load")
+            assert run_cli(args) == 0
+            assert data_calls().count("load") - before == 2
+            summary = Path(capsys.readouterr().out.strip())
+            seen.append([row.split(",")[1]
+                         for row in summary.read_text().splitlines()[1:]])
+            one = cli.load_datasets(effective_config(str(cfg), ["seed=1"]))
+            assert seen[-1] == [f"{fingerprint(*one):.6g}"] * 2
+        assert seen[0] != seen[1]
+
+    @pytest.mark.parametrize("case,rc", [("job-fails", 1),
+                                         ("bad-later-job", 2)])
+    def test_files_released_on_error(self, tmp_path, monkeypatch, case, rc):
+        cfg = data_cfg(tmp_path, "embeddings")
+        sets = ["--set", "T=1,2"]
+        if case == "job-fails":
+            def diverge(*a, **kw):
+                assert cli._SWEEP_FILES
+                raise ValueError("adam_step: non-finite gradient")
+            monkeypatch.setattr(cli, "run_config", diverge)
+        else:
+            sets = ["--set", "val_fraction=0.2,1.5"]
+        assert run_cli(["sweep", "--config", str(cfg), *sets,
+                        "--seeds", "1"]) == rc
+        assert cli._SWEEP_FILES == {}
 
 
 class TestInspectGraph:

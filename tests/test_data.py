@@ -52,6 +52,31 @@ class TestDataset:
         labels = np.zeros(20000, dtype=np.int64)
         assert peak_bytes(Dataset, features, labels, 10) < 1 << 20
 
+    def test_subsets_of_a_checked_dataset_are_not_rescanned(self,
+                                                            monkeypatch):
+        # The rows were checked when the dataset was made; the public
+        # constructor still checks everything it is given.
+        d = synth_blobs(20, 4, 2, 1.0, make_rng(0, 0))
+        calls = []
+        for name in ("check_finite", "check_labels"):
+            real = getattr(data, name)
+            monkeypatch.setattr(data, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        train, val = split(d, 0.25, make_rng(0, "data-shuffle"))
+        head = d.subset(slice(0, 3))
+        assert calls == []
+        assert (train.n_samples, val.n_samples, head.n_samples) == (30, 10, 3)
+        np.testing.assert_array_equal(head.features, d.features[:3])
+        assert (head.n_classes, head.name) == (d.n_classes, d.name)
+
+        features = d.features.copy()
+        features[5, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite features"):
+            Dataset(features, d.labels, 2)
+        with pytest.raises(ValueError, match="label out of range"):
+            Dataset(d.features, d.labels + 1, 2)
+        assert calls == ["check_labels", "check_finite", "check_labels"]
+
 
 def _net_4_dim():
     return build_network(generate(GeneratorSpec("complete", 2)), 4, 3, 2,

@@ -611,6 +611,19 @@ class TestPredict:
             predict(net, feats)
 
 
+    def test_non_finite_logits_rejected(self):
+        # Weights this large overflow the logits to inf and NaN, whose
+        # argmax would be a silent prediction; no warning escapes first.
+        net = small_net("complete", 3)
+        for p in net.neurons:
+            p.W *= 1e10
+        net.readout_W = 1e300 * np.sign(make_rng(0, 7).standard_normal(
+            net.readout_W.shape))
+        feats = make_rng(0, 0).standard_normal((5, net.raw_dim))
+        with pytest.raises(ValueError, match="predict: non-finite logits"):
+            predict(net, feats)
+
+
 class TestCheckpoint:
     def test_round_trip_inference_exact(self, tmp_path):
         net = small_net("ba", 5, seed=3, fusion=FusionMode("concat"))

@@ -1,13 +1,10 @@
-import ctypes
-import glob
-import os
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import central_diff, peak_bytes, rel_err
+from conftest import central_diff, openblas_thread_calls, peak_bytes, rel_err
 from cyclicff import cli
 from cyclicff.data import split, synth_blobs
 from cyclicff.graph import GeneratorSpec
@@ -362,28 +359,12 @@ class TestMetricsCsv:
         assert all(len(ln.split(",")) == 6 for ln in lines[1:])
 
 
-def _openblas_thread_calls():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, found
-    the way benchmarks/run.py finds it, or None when there is none."""
-    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                          "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.restype = ctypes.c_int
-            set_.argtypes = [ctypes.c_int]
-            return get, set_
-    return None
-
-
 class TestDeterminism:
     def test_same_bits_at_a_pinned_blas_thread_count(self, tmp_path):
         # The README's contract: a fixed numpy build and BLAS thread count
         # give the same checkpoint bytes. Counts are not compared with each
         # other: OpenBLAS splits a wide matmul differently per count.
-        calls = _openblas_thread_calls()
+        calls = openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
         get, set_ = calls
