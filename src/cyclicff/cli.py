@@ -28,7 +28,7 @@ from .data import (Dataset, FusionMode, load_embeddings, load_mnist_idx,
                    save_embeddings, split, synth_blobs)
 from .graph import GeneratorSpec, generate, has_cycle, predecessors, to_edge_list
 from .network import load_checkpoint, save_checkpoint
-from .numerics import check_seed, make_rng
+from .numerics import check_seed, make_rng, openblas_thread_calls
 from .training import TrainConfig, evaluate, run_config
 
 
@@ -375,6 +375,21 @@ def _one_sweep_run(job: tuple[TrainConfig, dict[str, str]]) -> float:
     return metrics.test_err
 
 
+def _init_sweep_worker(jobs: int) -> None:
+    """Share the usable cores out among `jobs` forked sweep workers: each
+    runs numpy's bundled OpenBLAS (if any) on at least 1 thread and never
+    more than its parent did. A forked worker would otherwise keep the
+    parent's count, and `jobs` workers would each run that many threads
+    on the same cores."""
+    calls = openblas_thread_calls()
+    if calls is None:
+        return
+    get, set_ = calls
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    set_(min(get(), max(1, cores // jobs)))
+
+
 def cmd_sweep(args) -> int:
     try:
         return _sweep(args)
@@ -432,7 +447,9 @@ def _sweep(args) -> int:
         # being sent it or reading it again.
         with ProcessPoolExecutor(
                 max_workers=args.jobs,
-                mp_context=multiprocessing.get_context("fork")) as pool:
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_sweep_worker,
+                initargs=(args.jobs,)) as pool:
             errs = list(pool.map(_one_sweep_run, jobs))
     else:
         errs = list(map(_one_sweep_run, jobs))

@@ -21,7 +21,7 @@ from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
                      ff_loss_grad_outputs)
 from .numerics import (EPS_NORM, AdamState, adam_step, check_finite,
-                       check_labels, relu, row_norms, softmax_xent)
+                       check_labels, row_norms, softmax_xent)
 
 CHECKPOINT_MAGIC = b"CNN1"
 CHECKPOINT_VERSION = 2
@@ -29,9 +29,11 @@ CHECKPOINT_VERSION = 2
 # same. Version 1 stored float32, so its weights round-trip only to float32.
 CHECKPOINT_WEIGHTS = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
-# Rows per `predict` block, so its memory does not grow with the dataset.
-# 256 rows measured at or near the fastest block size on narrow and on wide
-# (784-dim) nets alike.
+# Rows per `predict` block, so its memory does not grow with the dataset;
+# it also sizes the round buffers that one `predict` call reuses. 256 rows
+# measured at or near the fastest block size on narrow and on wide
+# (784-dim) nets alike, also with the reused buffers: 1024-row blocks read
+# 5-11% slower in one process on the benchmark workloads' shapes.
 PREDICT_BLOCK_ROWS = 256
 # Largest number of propagation rounds a net may have. The paper and the
 # defaults use T = 3 and the demos sweep up to 8; the bound keeps a corrupt
@@ -130,7 +132,8 @@ def zero_state(net: CyclicNet, batch: int) -> PropagationState:
 
 
 def _round_input(net: CyclicNet, j: int, fused_stream: np.ndarray,
-                 outputs: list[np.ndarray] | None):
+                 outputs: list[np.ndarray] | None,
+                 out: np.ndarray | None = None):
     """Neuron j's (params, input) for one round of one stream: the fused
     stream, then its predecessors' outputs in ascending order.
 
@@ -139,26 +142,40 @@ def _round_input(net: CyclicNet, j: int, fused_stream: np.ndarray,
     neuron runs as the fused-input block of W on the fused stream alone, and
     the zero columns are neither built nor multiplied. A neuron without
     predecessors gets the fused stream itself, not a copy.
+
+    With `out`, a 1-D float64 array of at least rows x d_in elements, the
+    input is built in its first rows x d_in elements, so one buffer can
+    serve every neuron of a round in turn.
     """
     p, preds = net.neurons[j], net.preds[j]
     if outputs is None:
         return NeuronParams(p.W[:, :net.base_dim], p.theta), fused_stream
     if not preds:
         return p, fused_stream
+    if out is not None:
+        out = _prefix(out, len(fused_stream), p.d_in)
     return p, np.concatenate([fused_stream] + [outputs[i] for i in preds],
-                             axis=1)
+                             axis=1, out=out)
+
+
+def _prefix(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows x cols elements of the 1-D `buf` as a contiguous
+    matrix."""
+    return buf[:rows * cols].reshape(rows, cols)
 
 
 def forward_round(net: CyclicNet, fused_stream: np.ndarray,
-                  outputs: list[np.ndarray] | None) -> list[np.ndarray]:
+                  outputs: list[np.ndarray] | None,
+                  out: np.ndarray | None = None) -> list[np.ndarray]:
     """One synchronous forward-only round of one stream: every neuron reads
     the fused input and its predecessors' outputs from the previous round,
-    or from the zero state when `outputs` is None."""
+    or from the zero state when `outputs` is None. `out`, as in
+    `_round_input`, holds each neuron's input while it runs."""
     if fused_stream.shape[1] != net.base_dim:
         raise ValueError(
             f"forward_round: fused stream has {fused_stream.shape[1]} "
             f"cols, base_dim is {net.base_dim}")
-    return [neuron_forward(*_round_input(net, j, fused_stream, outputs))
+    return [neuron_forward(*_round_input(net, j, fused_stream, outputs, out))
             for j in range(len(net.neurons))]
 
 
@@ -208,12 +225,14 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
     h_ff = np.concatenate([fused.h_pos, fused.h_neg])
     ff = neu = None
     loss_sums = np.zeros(net.topology.n_neurons)
+    # Every neuron's round input, of either stream, is built here in turn.
+    inputs = np.empty(2 * batch * max(p.d_in for p in net.neurons))
 
     for _ in range(net.T):
-        neu = forward_round(net, fused.h_neu, neu)
+        neu = forward_round(net, fused.h_neu, neu, inputs)
         new_ff = []
         for j, adam in enumerate(net.neuron_adam):
-            p, h_in = _round_input(net, j, h_ff, ff)
+            p, h_in = _round_input(net, j, h_ff, ff, inputs)
             loss, grad, h = ff_loss_grad_outputs(p, h_in[:batch],
                                                  h_in[batch:])
             W = net.neurons[j].W
@@ -255,31 +274,61 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
 
     Rows are independent, so they are processed in blocks of
     PREDICT_BLOCK_ROWS; the per-row arithmetic, and so the result, does not
-    depend on the block. A block whose logits are not all finite (weights
-    large enough to overflow) is a ValueError, not an argmax of them.
+    depend on the block. Every block runs in one set of `_RoundBuffers`,
+    made for the largest block. A block whose logits are not all finite
+    (weights large enough to overflow) is a ValueError, not an argmax of
+    them.
     """
     features = as_features(features, "predict")
     if features.shape[1] != net.raw_dim:
         raise ValueError(
             f"predict: features have {features.shape[1]} cols, "
             f"expected {net.raw_dim}")
+    blocks = _row_blocks(len(features), PREDICT_BLOCK_ROWS)
+    work = _RoundBuffers(net, max(stop - start for start, stop in blocks))
     preds = []
-    for start, stop in _row_blocks(len(features), PREDICT_BLOCK_ROWS):
+    for start, stop in blocks:
         h_neu = neutral_fusion(features[start:stop], net.n_classes,
                                net.fusion)
-        # Unnamed, so no block's outputs are held while the next one runs.
+        x = work.readout_input[:stop - start]
         # An overflow is reported by the check below, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            logits = np.concatenate(_neutral_rounds(net, h_neu),
-                                    axis=1) @ net.readout_W.T
+            np.concatenate(_neutral_rounds(net, h_neu, work), axis=1, out=x)
+            logits = x @ net.readout_W.T
         check_finite(logits, "predict: non-finite logits")
         preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds)
 
 
-def _neutral_rounds(net: CyclicNet, fused: np.ndarray) -> list[np.ndarray]:
+class _RoundBuffers:
+    """The arrays `_neutral_rounds` writes, for up to `rows` rows, so that
+    the rounds and blocks of one `predict` call reuse them instead of
+    allocating per neuron and round.
+
+    Per neuron: its fused-input product and two output arrays, alternated
+    between rounds (one output for a neuron without predecessors, which
+    keeps its round-1 output). Shared: one predecessor input, built as a
+    contiguous prefix for each neuron's width, two row-length temporaries
+    for the norms, and the readout's input.
+    """
+
+    def __init__(self, net: CyclicNet, rows: int):
+        self.fused_part = [np.empty((rows, p.d_out)) for p in net.neurons]
+        self.outputs = [
+            [np.empty((rows, p.d_out)) for _ in range(1 + bool(preds))]
+            for p, preds in zip(net.neurons, net.preds)]
+        self.pred_input = np.empty(rows * max(
+            p.d_in - net.base_dim for p in net.neurons))
+        self.sq = np.empty(rows)
+        self.scale = np.empty(rows)
+        self.readout_input = np.empty((rows, net.readout_W.shape[1]))
+
+
+def _neutral_rounds(net: CyclicNet, fused: np.ndarray,
+                    work: _RoundBuffers | None = None) -> list[np.ndarray]:
     """Every neuron's output after T frozen rounds of one fused stream,
-    from the zero state.
+    from the zero state, written into `work` (made for `len(fused)` rows
+    when not given); the outputs stay valid until `work` is next used.
 
     The fused stream and every W are fixed for all T rounds, so each
     neuron's product with its fused-input columns, B = F Wf^T, and the
@@ -292,25 +341,37 @@ def _neutral_rounds(net: CyclicNet, fused: np.ndarray) -> list[np.ndarray]:
     `forward_round`'s in the last bits. A neuron without predecessors
     keeps its round-1 output.
     """
-    base = net.base_dim
+    rows, base = len(fused), net.base_dim
+    if work is None:
+        work = _RoundBuffers(net, rows)
     norms = row_norms(fused)[:, None]
-    fused_part = [fused @ p.W[:, :base].T for p in net.neurons]
-    outputs = [relu(b / norms) for b in fused_part]
+    outputs = []
+    for p, b, out in zip(net.neurons, work.fused_part, work.outputs):
+        b = np.matmul(fused, p.W[:, :base].T, out=b[:rows])
+        h = np.divide(b, norms, out=out[0][:rows])
+        outputs.append(np.maximum(h, 0.0, out=h))
+    sq = work.sq[:rows]
+    scale = work.scale[:rows]
     with np.errstate(over="ignore"):  # as in row_norms
-        sq = np.vecdot(fused, fused)
-    for _ in range(net.T - 1):
+        np.vecdot(fused, fused, out=sq)
+    for r in range(1, net.T):
         new = []
-        for p, preds, b, out in zip(net.neurons, net.preds, fused_part,
-                                    outputs):
+        for p, preds, b, out, prev in zip(net.neurons, net.preds,
+                                          work.fused_part, work.outputs,
+                                          outputs):
             if not preds:
-                new.append(out)
+                new.append(prev)
                 continue
-            o = np.concatenate([outputs[i] for i in preds], axis=1)
-            # In place: fresh (rows x d_out) temporaries cost page faults
-            # that, on narrow nets, outweigh the saved columns.
-            z = o @ p.W[:, base:].T
-            z += b
-            z /= np.maximum(np.sqrt(sq + np.vecdot(o, o)), EPS_NORM)[:, None]
+            o = np.concatenate(
+                [outputs[i] for i in preds], axis=1,
+                out=_prefix(work.pred_input, rows, p.d_in - base))
+            z = np.matmul(o, p.W[:, base:].T, out=out[r % 2][:rows])
+            z += b[:rows]
+            np.vecdot(o, o, out=scale)
+            scale += sq
+            np.sqrt(scale, out=scale)
+            np.maximum(scale, EPS_NORM, out=scale)
+            z /= scale[:, None]
             new.append(np.maximum(z, 0.0, out=z))
         outputs = new
     return outputs

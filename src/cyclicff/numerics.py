@@ -2,11 +2,15 @@
 
 Matrices are plain numpy float64 arrays, row-major. Randomness comes from
 counter-based Philox streams keyed by (seed, stream id) so every component
-of an experiment can be reseeded independently and reproducibly.
+of an experiment can be reseeded independently and reproducibly. The
+thread count of numpy's bundled OpenBLAS is read and set here too.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,3 +222,28 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         a *= state.lr
         a /= b
         p -= a
+
+
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS (the library benchmarks/run.py finds), or
+    None when there is none."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                          "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when there is none."""
+    lib = _bundled_openblas()
+    if lib is None:
+        return None
+    get = lib.scipy_openblas_get_num_threads64_
+    set_ = lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_

@@ -1,6 +1,5 @@
 import contextlib
 import ctypes
-import glob
 import gzip
 import os
 import struct
@@ -9,6 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+
+# Defined in the library, where the sweep workers use them; the tests
+# import them from here.
+from cyclicff.numerics import _bundled_openblas, openblas_thread_calls  # noqa: F401
 
 MNIST_FILES = {
     "train_images": ("train-images-idx3-ubyte", "train-images-idx3-ubyte.gz"),
@@ -45,31 +48,6 @@ def mnist_paths():
         pytest.skip("MNIST IDX files not available (set CYCLIC_FF_DATA_DIR "
                     "to a directory holding the canonical files)")
     return paths
-
-
-def _bundled_openblas():
-    """numpy's bundled OpenBLAS (the library benchmarks/run.py finds), or
-    None when there is none."""
-    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                          "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            return lib
-    return None
-
-
-def openblas_thread_calls():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    when there is none."""
-    lib = _bundled_openblas()
-    if lib is None:
-        return None
-    get = lib.scipy_openblas_get_num_threads64_
-    set_ = lib.scipy_openblas_set_num_threads64_
-    get.restype = ctypes.c_int
-    set_.argtypes = [ctypes.c_int]
-    return get, set_
 
 
 def openblas_config():

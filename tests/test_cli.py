@@ -9,7 +9,8 @@ import pytest
 
 from conftest import (OVERSIZED_CHECKPOINT, OVERSIZED_EMBEDDINGS,
                       UNRUNNABLE_CHECKPOINTS, chain_checkpoint,
-                      fifo_serving, write_idx_images, write_idx_labels)
+                      fifo_serving, openblas_thread_calls, write_idx_images,
+                      write_idx_labels)
 from cyclicff import cli
 from cyclicff import data as data_module
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
@@ -810,6 +811,39 @@ class TestSweepCommand:
             assert run_cli(["sweep", "--config", sweep_cfg, "--set", axis,
                             "--seeds", "1"]) == 0
         assert len(os.listdir(tmp_path / "out")) == 2
+
+
+class TestSweepWorkerThreads:
+    @pytest.mark.parametrize("parent", [1, 2])
+    def test_workers_share_out_the_cores(self, sweep_cfg, tmp_path,
+                                         monkeypatch, parent):
+        # A forked worker would keep this process's OpenBLAS thread count,
+        # so 2 workers on 2 cores would run 4 threads. Each worker logs its
+        # count to a file, as the workers are other processes.
+        calls = openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, set_ = calls
+        log = tmp_path / "threads.log"
+
+        def run(tc, train, val, test):
+            with open(log, "a") as f:
+                f.write(f"{get()}\n")
+            return None, Metrics(test_err=0.0)
+
+        monkeypatch.setattr(cli, "run_config", run)
+        original = get()
+        set_(parent)
+        try:
+            parent = get()
+            assert run_cli(["sweep", "--config", sweep_cfg, "--set",
+                            "T=1,2", "--seeds", "1,2", "--jobs", "2"]) == 0
+            assert get() == parent
+        finally:
+            set_(original)
+        cores = len(os.sched_getaffinity(0))
+        want = min(parent, max(1, cores // 2))
+        assert log.read_text().split() == [str(want)] * 4
 
 
 def _logged(log, line, fn):

@@ -22,7 +22,8 @@ from cyclicff.network import (MAX_T, PREDICT_BLOCK_ROWS, CyclicNet,
                               readout_forward_loss_grad, save_checkpoint,
                               train_iteration, zero_state)
 from cyclicff.neuron import ff_loss_grad_outputs, neuron_forward
-from cyclicff.numerics import adam_step, make_rng
+from cyclicff.numerics import (EPS_NORM, adam_step, make_rng, relu,
+                               row_norms)
 
 
 def small_net(kind="complete", n=4, base_dim=12, d_out=5, n_classes=3,
@@ -622,6 +623,138 @@ class TestPredict:
         feats = make_rng(0, 0).standard_normal((5, net.raw_dim))
         with pytest.raises(ValueError, match="predict: non-finite logits"):
             predict(net, feats)
+
+
+def fresh_block_logits(net, fused):
+    """One block's logits by the round kernel as it was before its arrays
+    were reused: a fresh array for every neuron-round's input, product and
+    output."""
+    base = net.base_dim
+    norms = row_norms(fused)[:, None]
+    fused_part = [fused @ p.W[:, :base].T for p in net.neurons]
+    outputs = [relu(b / norms) for b in fused_part]
+    sq = np.vecdot(fused, fused)
+    for _ in range(net.T - 1):
+        new = []
+        for p, preds, b, out in zip(net.neurons, net.preds, fused_part,
+                                    outputs):
+            if not preds:
+                new.append(out)
+                continue
+            o = np.concatenate([outputs[i] for i in preds], axis=1)
+            z = o @ p.W[:, base:].T
+            z += b
+            z /= np.maximum(np.sqrt(sq + np.vecdot(o, o)), EPS_NORM)[:, None]
+            new.append(np.maximum(z, 0.0, out=z))
+        outputs = new
+    return np.concatenate(outputs, axis=1) @ net.readout_W.T
+
+
+def predict_logits(net, feats):
+    """The logits `predict` takes its argmax of, all blocks stacked."""
+    seen = []
+    real = network_module.check_finite
+
+    def record(a, message):
+        seen.append(a.copy())
+        real(a, message)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network_module, "check_finite", record)
+        predict(net, feats)
+    return np.concatenate(seen)
+
+
+def fresh_logits(net, feats):
+    """`predict_logits` by `fresh_block_logits`, block by block."""
+    return np.concatenate([
+        fresh_block_logits(net, neutral_fusion(
+            feats[start:stop], net.n_classes, net.fusion))
+        for start, stop in network_module._row_blocks(len(feats),
+                                                      PREDICT_BLOCK_ROWS)])
+
+
+def reuse_net(kind, T, seed=0):
+    """A `ws` net whose neurons have 1, 2 or 3 predecessors, or a chain,
+    whose head has none; with a random readout."""
+    net = (small_net("ws", 8, T=T, seed=3) if kind == "ws"
+           else small_net("chain", 4, T=T, seed=seed))
+    net.readout_W = make_rng(seed, 7).standard_normal(net.readout_W.shape)
+    return net
+
+
+def features(net, rows, seed=0):
+    return make_rng(seed, 0).standard_normal((rows, net.raw_dim))
+
+
+class TestBufferReuse:
+    """`predict` writes every round and block into one set of buffers and
+    `train_iteration` builds every round input in one; the bits are those
+    of fresh arrays."""
+
+    def test_nets_cover_the_widths(self):
+        assert len({len(p) for p in reuse_net("ws", 3).preds}) == 3
+        assert reuse_net("chain", 3).preds[0] == []
+
+    @pytest.mark.parametrize("extra", [37, 1], ids=["short-tail",
+                                                    "joined-one-row-tail"])
+    @pytest.mark.parametrize("T", [1, 3, 8])
+    @pytest.mark.parametrize("kind", ["ws", "chain"])
+    def test_blocks_match_fresh_arrays(self, kind, T, extra):
+        # Two full blocks, then a 37-row tail, or a 1-row tail that joins
+        # the block before it. With T = 3 and 8 the alternating outputs
+        # must leave the chain head's round-1 output as it is.
+        net = reuse_net(kind, T)
+        feats = features(net, 2 * PREDICT_BLOCK_ROWS + extra)
+        np.testing.assert_array_equal(predict_logits(net, feats),
+                                      fresh_logits(net, feats))
+
+    def test_repeated_and_interleaved_calls(self):
+        nets = [reuse_net("ws", 3), reuse_net("chain", 8, seed=1)]
+        feats = [features(net, PREDICT_BLOCK_ROWS + 9, seed=i)
+                 for i, net in enumerate(nets)]
+        want = [fresh_logits(net, f) for net, f in zip(nets, feats)]
+        for i in (0, 0, 1, 0, 1, 1):
+            np.testing.assert_array_equal(predict_logits(nets[i], feats[i]),
+                                          want[i])
+
+    def test_train_inputs_match_fresh_arrays(self, monkeypatch):
+        # The reference builds every round input as a fresh array; 3
+        # batches must leave every weight and moment bitwise the same.
+        net = reuse_net("ws", 3)
+        ref = copy.deepcopy(net)
+        real = network_module._round_input
+        buffered = []
+
+        def spy(net, j, fused_stream, outputs, out=None):
+            buffered.append(out is not None)
+            return real(net, j, fused_stream, outputs, out)
+
+        def fresh(net, j, fused_stream, outputs, out=None):
+            return real(net, j, fused_stream, outputs)
+
+        for model, round_input in ((net, spy), (ref, fresh)):
+            monkeypatch.setattr(network_module, "_round_input", round_input)
+            for seed in range(3):
+                train_iteration(model, fused_batch(model, batch=9, seed=seed))
+        assert all(buffered)
+        TestTrainIteration.assert_same_net(net, ref)
+
+    def test_peak_memory_is_one_set_of_buffers(self):
+        # A ws16-shaped net over four blocks: one set of buffers for the
+        # largest block, plus one block's fused stream and logits.
+        net = build_network(generate(GeneratorSpec("ws", 16, ws_k=4)), 24,
+                            32, 4, 1.0, 3, make_rng(0, "weights"))
+        rows = PREDICT_BLOCK_ROWS
+        buffers = rows * (
+            sum(p.d_out * (2 + bool(preds))
+                for p, preds in zip(net.neurons, net.preds))
+            + max(p.d_in for p in net.neurons) - net.base_dim
+            + 2 + net.readout_W.shape[1])
+        block = rows * (net.base_dim + net.n_classes)
+        bound = 8 * (buffers + block)
+        peak = peak_bytes(predict, net, features(net, 3 * rows + 100))
+        assert peak <= 1.1 * bound
 
 
 class TestCheckpoint:
