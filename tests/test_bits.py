@@ -1,7 +1,8 @@
 """The bits of fixed runs, pinned across commits: SHA-256 digests of each
 case's checkpoint bytes, metrics CSV (without the wall-clock `seconds`
-column) and the float64 logits `predict` takes its argmax of, and of a
-small sweep's summary, compared with `tests/bits.json`.
+column) and the float64 logits `predict` takes its argmax of, of the BP
+baseline's parameters, CSV and logits, and of a small sweep's summary,
+compared with `tests/bits.json`.
 
 Bits depend on the numpy build and the BLAS, so the file keys its digests
 by the numpy version, numpy's bundled OpenBLAS configuration and the BLAS
@@ -32,7 +33,7 @@ from cyclicff.data import Dataset, FusionMode, split, synth_blobs
 from cyclicff.graph import GeneratorSpec
 from cyclicff.network import predict, save_checkpoint
 from cyclicff.numerics import make_rng
-from cyclicff.training import TrainConfig, train_loop
+from cyclicff.training import TrainConfig, bp_chain_baseline, train_loop
 
 BITS_FILE = Path(__file__).with_name("bits.json")
 
@@ -86,12 +87,16 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def csv_digest(metrics) -> str:
+    """The metrics CSV without its last column, `seconds`."""
+    return sha("\n".join(row.rsplit(",", 1)[0]
+                         for row in metrics.to_csv().splitlines()).encode())
+
+
 def run_digests(cfg: TrainConfig, train, val, test, tmp: Path) -> dict:
     net, metrics = train_loop(cfg, train, val)
     path = tmp / "net.ckpt"
     save_checkpoint(net, path)
-    csv = "\n".join(row.rsplit(",", 1)[0]
-                    for row in metrics.to_csv().splitlines())
     # The logits of each block, as predict checks them before its argmax.
     logits = []
     real = network_module.check_finite
@@ -107,7 +112,7 @@ def run_digests(cfg: TrainConfig, train, val, test, tmp: Path) -> dict:
     finally:
         network_module.check_finite = real
     return {"checkpoint": sha(path.read_bytes()),
-            "metrics_csv": sha(csv.encode()),
+            "metrics_csv": csv_digest(metrics),
             "logits": sha(b"".join(logits))}
 
 
@@ -118,7 +123,8 @@ def criterion_9(tmp: Path) -> dict:
     return run_digests(cfg, *synth_splits(3, 300, 12, 3, 3.0), tmp)
 
 
-def workload(name: str, tmp: Path) -> dict:
+def workload_runs(name: str):
+    """(config, train, val, test) of a workload cut to 1 epoch."""
     (dim, classes, sep, n_pool, n_test, fusion, gen, d_out, lr,
      pixels) = WORKLOADS[name]
 
@@ -136,7 +142,32 @@ def workload(name: str, tmp: Path) -> dict:
     cfg = TrainConfig(generator=gen, d_out=d_out, T=3, theta=1.0, lr=lr,
                       batch_size=64, max_epochs=1, patience=1, seed=0,
                       fusion=FusionMode(fusion))
-    return run_digests(cfg, train, val, blobs(n_test, 101), tmp)
+    return cfg, train, val, blobs(n_test, 101)
+
+
+def workload(name: str, tmp: Path) -> dict:
+    return run_digests(*workload_runs(name), tmp)
+
+
+def bp_chain(tmp: Path) -> dict:
+    # The baseline as the benchmark trains it on ff-small-synth. Its head's
+    # logits are recorded as `_logits` returns them; stacked, they are the
+    # logits of the whole test set, however predict splits its rows.
+    cfg, train, val, test = workload_runs("ff-small-synth")
+    model, metrics = bp_chain_baseline(cfg, train, val)
+    logits = []
+    real = model._logits
+
+    def record(h):
+        out = real(h)
+        logits.append(np.ascontiguousarray(out, np.float64).tobytes())
+        return out
+
+    model._logits = record
+    model.predict(test.features)
+    return {"params": sha(model.params.tobytes()),
+            "metrics_csv": csv_digest(metrics),
+            "logits": sha(b"".join(logits))}
 
 
 def sweep(jobs: int, tmp: Path) -> dict:
@@ -154,6 +185,7 @@ CASES = {
     "criterion-9": criterion_9,
     **{name: (lambda tmp, name=name: workload(name, tmp))
        for name in WORKLOADS},
+    "bp-chain": bp_chain,
     "sweep-jobs-1": lambda tmp: sweep(1, tmp),
     "sweep-jobs-2": lambda tmp: sweep(2, tmp),
 }
