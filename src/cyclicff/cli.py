@@ -398,8 +398,8 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep(args) -> int:
-    # Every job's config is built and its data read and checked before
-    # out_dir is made and the first run trains.
+    # Every job's config is built, and every swept combination's data read
+    # and checked, before out_dir is made and the first run trains.
     with input_phase():
         if args.jobs < 1:
             raise ConfigError(f"--jobs is {args.jobs}, need at least 1")
@@ -439,7 +439,10 @@ def _sweep(args) -> int:
                 cfg.update(dict(zip(keys, combo)))
                 cfg["seed"] = str(seed)
                 jobs.append((to_train_config(cfg), cfg))
-                load_datasets(cfg, _SWEEP_FILES)
+            # No data check depends on the seed, which `to_train_config`
+            # has range-checked, so one draw checks the combination's data
+            # for every seed.
+            load_datasets(cfg, _SWEEP_FILES)
         out_dir = _make_out_dir(base)
 
     if args.jobs > 1:

@@ -26,9 +26,9 @@ EMBEDDING_VERSION = 1
 
 
 def as_features(features, what: str) -> np.ndarray:
-    """`features` as a float64 array; ValueError, named by `what`, unless
-    it is 2-D (rows x dim)."""
-    features = np.asarray(features, dtype=np.float64)
+    """`features` as an array of its own element type; ValueError, named
+    by `what`, unless it is 2-D (rows x dim)."""
+    features = np.asarray(features)
     if features.ndim != 2:
         raise ValueError(
             f"{what}: need 2-D features, got shape {features.shape}")
@@ -116,7 +116,8 @@ def fuse_inputs(features: np.ndarray, labels: np.ndarray, n_classes: int,
     """
     if n_classes < 2:
         raise ValueError("fuse_inputs: need at least 2 classes")
-    features = as_features(features, "fuse_inputs")
+    features = np.asarray(as_features(features, "fuse_inputs"),
+                          dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if not len(labels):
         raise ValueError("fuse_inputs: empty batch")
@@ -141,7 +142,8 @@ def fuse_inputs(features: np.ndarray, labels: np.ndarray, n_classes: int,
 def neutral_fusion(features: np.ndarray, n_classes: int,
                    mode: FusionMode) -> np.ndarray:
     """The neutral stream: every class weighted 1 / n_classes."""
-    features = as_features(features, "neutral_fusion")
+    features = np.asarray(as_features(features, "neutral_fusion"),
+                          dtype=np.float64)
     neu = np.full((len(features), n_classes), 1.0 / n_classes)
     return _fuse(features, neu, mode)
 

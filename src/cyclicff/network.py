@@ -268,36 +268,63 @@ def _row_blocks(n_rows: int, block: int) -> list[tuple[int, int]]:
     return list(zip([0] + stops[:-1], stops))
 
 
-def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
-    """Neutral-label inference: T frozen propagation rounds, readout argmax.
-    Ties break toward the lowest class index.
+def predict_blocks(features: np.ndarray, block_logits,
+                   what: str) -> np.ndarray:
+    """The argmax of `block_logits(x)` for each row of the 2-D `features`,
+    ties toward the lowest class index, where `x` is one block of rows
+    (`_row_blocks` of PREDICT_BLOCK_ROWS) converted to float64. Only one
+    block's float64 rows and logits, and whatever `block_logits` holds, are
+    alive at a time, so memory beyond the predictions does not grow with
+    the input.
 
-    Rows are independent, so they are processed in blocks of
-    PREDICT_BLOCK_ROWS; the per-row arithmetic, and so the result, does not
-    depend on the block. Every block runs in one set of `_RoundBuffers`,
-    made for the largest block. A block whose logits are not all finite
-    (weights large enough to overflow) is a ValueError, not an argmax of
-    them.
+    Each row's arithmetic is its own, but a BLAS may compute a small
+    block's products by another kernel (OpenBLAS does for a product of at
+    most 1200 outputs), so a row's logits can differ in the last bits from
+    a pass over all rows at once, and a near-tie row's prediction with
+    them. A block whose logits are not all finite (weights large enough to
+    overflow) is a ValueError naming `what`, not a warning and an argmax of
+    inf and NaN.
+    """
+    message = f"{what}: non-finite logits"
+    preds = []
+    for start, stop in _row_blocks(len(features), PREDICT_BLOCK_ROWS):
+        # Not bound to a name, so a converted block is freed before the
+        # next one is made.
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = block_logits(
+                np.asarray(features[start:stop], dtype=np.float64))
+        check_finite(logits, message)
+        preds.append(np.argmax(logits, axis=1))
+    return np.concatenate(preds)
+
+
+def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
+    """Neutral-label inference: T frozen propagation rounds, readout argmax,
+    by `predict_blocks`. Every block runs in one set of `_RoundBuffers`,
+    made for the largest block.
     """
     features = as_features(features, "predict")
     if features.shape[1] != net.raw_dim:
         raise ValueError(
             f"predict: features have {features.shape[1]} cols, "
             f"expected {net.raw_dim}")
-    blocks = _row_blocks(len(features), PREDICT_BLOCK_ROWS)
-    work = _RoundBuffers(net, max(stop - start for start, stop in blocks))
-    preds = []
-    for start, stop in blocks:
-        h_neu = neutral_fusion(features[start:stop], net.n_classes,
-                               net.fusion)
-        x = work.readout_input[:stop - start]
-        # An overflow is reported by the check below, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.concatenate(_neutral_rounds(net, h_neu, work), axis=1, out=x)
-            logits = x @ net.readout_W.T
-        check_finite(logits, "predict: non-finite logits")
-        preds.append(np.argmax(logits, axis=1))
-    return np.concatenate(preds)
+    work = _RoundBuffers(net, max(
+        stop - start
+        for start, stop in _row_blocks(len(features), PREDICT_BLOCK_ROWS)))
+
+    fused = [None]
+
+    def block_logits(x):
+        # The previous block's fused stream is kept until this one is
+        # made: releasing it first fragmented glibc's heap more, and the
+        # benchmark's ff-mnist-shaped peak RSS read 6.8 MB higher.
+        fused[0] = h_neu = neutral_fusion(x, net.n_classes, net.fusion)
+        readout_input = work.readout_input[:len(x)]
+        np.concatenate(_neutral_rounds(net, h_neu, work), axis=1,
+                       out=readout_input)
+        return readout_input @ net.readout_W.T
+
+    return predict_blocks(features, block_logits, "predict")
 
 
 class _RoundBuffers:

@@ -12,7 +12,7 @@ from .data import (Dataset, FusionMode, as_features, fuse_inputs,
                    iter_batches)
 from .graph import GeneratorSpec, generate
 from .network import (MAX_T, CyclicNet, build_network, predict,
-                      train_iteration)
+                      predict_blocks, train_iteration)
 from .numerics import (AdamState, adam_step, check_seed, make_rng, relu,
                        softmax_xent)
 
@@ -212,8 +212,8 @@ class BPChainMLP:
         return weights, biases
 
     def _features(self, x, what: str) -> np.ndarray:
-        """`x` as float64 features; ValueError, named by `what`, unless it
-        is 2-D and as wide as the first layer."""
+        """`x` as an array of its own element type; ValueError, named by
+        `what`, unless it is 2-D and as wide as the first layer."""
         x = as_features(x, what)
         if x.shape[1] != self.weights[0].shape[1]:
             raise ValueError(f"{what}: features have {x.shape[1]} cols, "
@@ -236,8 +236,8 @@ class BPChainMLP:
         of one flat vector laid out like `params`: `out` when given, else a
         fresh one, so an earlier call's gradients are never overwritten."""
         labels = np.asarray(labels, dtype=np.int64)
-        acts = list(self._activations(
-            self._features(x, "BPChainMLP.loss_and_grads")))
+        x = self._features(x, "BPChainMLP.loss_and_grads")
+        acts = list(self._activations(np.asarray(x, dtype=np.float64)))
         _, loss, delta = softmax_xent(self._logits(acts[-1]), labels)
         delta /= len(labels)
         grad = np.empty_like(self.params) if out is None else out
@@ -261,12 +261,18 @@ class BPChainMLP:
         adam_step(self.params, grad, self.adam)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Argmax of the logits, holding only the current layer's
-        activation: backprop's per-layer activations are not needed."""
-        for h in self._activations(self._features(features,
-                                                  "BPChainMLP.predict")):
+        """Argmax of the logits by `predict_blocks`: each block holds only
+        its current layer's activation, as backprop's per-layer activations
+        are not needed."""
+        what = "BPChainMLP.predict"
+        return predict_blocks(self._features(features, what),
+                              self._block_logits, what)
+
+    def _block_logits(self, x: np.ndarray) -> np.ndarray:
+        """The logits of the rows `x`, one layer's activation at a time."""
+        for h in self._activations(x):
             pass
-        return np.argmax(self._logits(h), axis=1)
+        return self._logits(h)
 
 
 def bp_chain_baseline(cfg: TrainConfig, train: Dataset,

@@ -923,6 +923,30 @@ class TestSweepReadsEachFileOnce:
         assert calls == ["load", "scan"] * 2 + ["run"] * 6
         assert cli._SWEEP_FILES == {}
 
+    @pytest.mark.parametrize("kind", ["synth", "embeddings"])
+    def test_one_split_per_combination_in_the_input_phase(
+            self, tmp_path, sweep_cfg, data_calls, monkeypatch, kind):
+        # 2 x 2 combinations x 3 seeds: the input phase splits each
+        # combination's data once, then each of the 12 jobs splits its own.
+        cfg = sweep_cfg if kind == "synth" else str(data_cfg(tmp_path, kind))
+        splits, before_out_dir = [], []
+        real_split, real_make_out_dir = cli.split, cli._make_out_dir
+
+        def counting_split(*args):
+            splits.append(1)
+            return real_split(*args)
+
+        def make_out_dir(cfg):
+            before_out_dir.append(len(splits))
+            return real_make_out_dir(cfg)
+
+        monkeypatch.setattr(cli, "split", counting_split)
+        monkeypatch.setattr(cli, "_make_out_dir", make_out_dir)
+        assert run_cli(["sweep", "--config", cfg, "--set", "T=1,2",
+                        "--set", "theta=0.5,1", "--seeds", "1..3"]) == 0
+        assert before_out_dir == [4]
+        assert len(splits) == 4 + 12
+
     def test_synthetic_data_is_drawn_per_job(self, sweep_cfg, monkeypatch):
         real = cli.run_config
 

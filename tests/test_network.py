@@ -624,6 +624,23 @@ class TestPredict:
         with pytest.raises(ValueError, match="predict: non-finite logits"):
             predict(net, feats)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int64])
+    def test_input_type_converted_per_block(self, dtype):
+        # Integer and float32 features predict as their float64 values,
+        # converting one block at a time: the peak rises by at most one
+        # block of float64 rows over a float64 input's, never by the whole
+        # input's 12.8 MB.
+        net = small_net(base_dim=784, d_out=8, n_classes=10,
+                        fusion=FusionMode("overlay"))
+        net.readout_W = make_rng(8, 7).standard_normal(net.readout_W.shape)
+        pixels = make_rng(8, 0).integers(0, 256, (8 * PREDICT_BLOCK_ROWS,
+                                                  net.raw_dim))
+        x64, x = pixels.astype(np.float64), pixels.astype(dtype)
+        np.testing.assert_array_equal(predict(net, x), predict(net, x64))
+        block = PREDICT_BLOCK_ROWS * net.raw_dim * 8
+        assert (peak_bytes(predict, net, x)
+                <= peak_bytes(predict, net, x64) + 1.1 * block)
+
 
 def fresh_block_logits(net, fused):
     """One block's logits by the round kernel as it was before its arrays

@@ -1,3 +1,4 @@
+import re
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,8 @@ from conftest import central_diff, openblas_thread_calls, peak_bytes, rel_err
 from cyclicff import cli
 from cyclicff.data import split, synth_blobs
 from cyclicff.graph import GeneratorSpec
-from cyclicff.network import predict, save_checkpoint
+import cyclicff.network as network_module
+from cyclicff.network import PREDICT_BLOCK_ROWS, predict, save_checkpoint
 from cyclicff.numerics import make_rng
 from cyclicff.training import (BPChainMLP, Metrics, TrainConfig, _fit,
                                bp_chain_baseline, evaluate, run_config,
@@ -27,6 +29,22 @@ def quick_cfg(**kw):
                     max_epochs=3, patience=10, seed=0)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def bp_predict_logits(model, x):
+    """The logits `BPChainMLP.predict` takes its argmax of, all blocks
+    stacked."""
+    seen = []
+    real = network_module.check_finite
+
+    def record(a, message):
+        seen.append(a.copy())
+        real(a, message)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network_module, "check_finite", record)
+        model.predict(x)
+    return np.concatenate(seen)
 
 
 class TestEvaluate:
@@ -247,15 +265,84 @@ class TestBPChainBaseline:
                 model.loss_and_grads(x, np.array([0, 1]))
 
     def test_predict_holds_one_layer_at_a_time(self):
-        # Bitwise the training forward's argmax, in under 4 activations.
+        # Bitwise the training forward's argmax, holding under 4 activations
+        # of one row block, not of the whole input, plus the predictions.
         rng = make_rng(5, 0)
         model = BPChainMLP(dim=64, width=200, n_classes=10, rng=rng)
-        x = rng.standard_normal((2000, 64))
-        activation = x.shape[0] * 200 * 8
-        assert peak_bytes(model.predict, x) < 4 * activation
+        x = rng.standard_normal((4000, 64))
+        block_activation = PREDICT_BLOCK_ROWS * 200 * 8
+        assert peak_bytes(model.predict, x) < (4 * block_activation
+                                               + 2 * 8 * len(x))
         acts = list(model._activations(x))
         np.testing.assert_array_equal(
             model.predict(x), np.argmax(model._logits(acts[-1]), axis=1))
+
+    # Two full blocks, then a 37-row tail, or a 1-row tail that joins the
+    # block before it, as functions of the block size B.
+    @pytest.mark.parametrize("blocks_of", [
+        lambda B: [B, B, 37], lambda B: [B, B + 1]],
+        ids=["short-tail", "joined-one-row-tail"])
+    def test_predict_runs_the_forward_per_row_block(self, blocks_of):
+        # The logits predict takes its argmax of are, bit for bit, the
+        # training forward run on each row block. A whole-set pass gives
+        # the same hidden activations and predictions, but its logits only
+        # to within rounding: OpenBLAS may compute a product of at most
+        # 1200 outputs, such as a 37-row block's 10 logits, by another
+        # kernel.
+        blocks = blocks_of(PREDICT_BLOCK_ROWS)
+        rng = make_rng(6, 0)
+        model = BPChainMLP(dim=64, width=200, n_classes=10, rng=rng)
+        x = rng.standard_normal((sum(blocks), 64))
+        heads = []
+        real = model._logits
+
+        def head(h):
+            heads.append(h.copy())
+            return real(h)
+
+        model._logits = head
+        got = bp_predict_logits(model, x)
+        assert [len(h) for h in heads] == blocks
+        stops = np.cumsum(blocks)
+        want = np.concatenate([
+            real(list(model._activations(x[stop - rows:stop]))[-1])
+            for rows, stop in zip(blocks, stops)])
+        np.testing.assert_array_equal(got, want)
+
+        whole = list(model._activations(x))[-1]
+        np.testing.assert_array_equal(np.concatenate(heads), whole)
+        whole_logits = real(whole)
+        np.testing.assert_allclose(got, whole_logits, rtol=0,
+                                   atol=1e-12 * np.abs(whole_logits).max())
+        model._logits = real
+        np.testing.assert_array_equal(model.predict(x),
+                                      np.argmax(whole_logits, axis=1))
+
+    def test_non_finite_logits_rejected(self):
+        # Weights this large overflow the logits to inf and NaN, whose
+        # argmax would be a silent prediction; no warning escapes first.
+        rng = make_rng(7, 0)
+        model = BPChainMLP(dim=8, width=16, n_classes=3, rng=rng)
+        for w in model.weights:
+            w *= 1e200
+        with pytest.raises(ValueError, match=re.escape(
+                "BPChainMLP.predict: non-finite logits")):
+            model.predict(rng.standard_normal((5, 8)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int64])
+    def test_input_type_converted_per_block(self, dtype):
+        # Integer and float32 features predict as their float64 values,
+        # converting one block at a time: the peak rises by at most one
+        # block of float64 rows over a float64 input's, never by the whole
+        # input's 12.8 MB.
+        rng = make_rng(8, 0)
+        model = BPChainMLP(dim=784, width=16, n_classes=10, rng=rng)
+        pixels = rng.integers(0, 256, (8 * PREDICT_BLOCK_ROWS, 784))
+        x64, x = pixels.astype(np.float64), pixels.astype(dtype)
+        np.testing.assert_array_equal(model.predict(x), model.predict(x64))
+        block = PREDICT_BLOCK_ROWS * 784 * 8
+        assert (peak_bytes(model.predict, x)
+                <= peak_bytes(model.predict, x64) + 1.1 * block)
 
     def test_gradients_of_two_calls_do_not_alias(self):
         rng = make_rng(3, 0)
