@@ -211,17 +211,19 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
     loss and gradient, and step it at once: only that neuron reads its W.
     Neurons never see the neutral stream; the readout sees only it.
     Updates `net` in place; returns (per-neuron mean FF loss, readout loss).
-    An empty batch or a label outside [0, n_classes) is a ValueError that
-    leaves `net` as it was.
+    Labels that are not 1-D or not all in [0, n_classes), a stream whose
+    shape is not (labels x base_dim), or an empty batch is a ValueError
+    that leaves `net` as it was.
     """
-    if fused.h_pos.shape[1] != net.base_dim:
+    check_labels(fused.true_labels, net.n_classes, "train_iteration")
+    batch = len(fused.true_labels)
+    shapes = [np.shape(h) for h in (fused.h_pos, fused.h_neg, fused.h_neu)]
+    if any(shape != (batch, net.base_dim) for shape in shapes):
         raise ValueError(
-            f"train_iteration: fused dim {fused.h_pos.shape[1]} != "
-            f"base_dim {net.base_dim}")
-    batch = len(fused.h_pos)
+            f"train_iteration: h_pos, h_neg and h_neu need shape "
+            f"({batch}, {net.base_dim}) for {batch} labels, got {shapes}")
     if not batch:
         raise ValueError("train_iteration: empty batch")
-    check_labels(fused.true_labels, net.n_classes, "train_iteration")
     h_ff = np.concatenate([fused.h_pos, fused.h_neg])
     ff = neu = None
     loss_sums = np.zeros(net.topology.n_neurons)
@@ -235,16 +237,17 @@ def train_iteration(net: CyclicNet, fused: FusedBatch,
             p, h_in = _round_input(net, j, h_ff, ff, inputs)
             loss, grad, h = ff_loss_grad_outputs(p, h_in[:batch],
                                                  h_in[batch:])
+            new_ff.append(h)
+            loss_sums[j] += loss
+            if freeze_neurons:
+                continue
             W = net.neurons[j].W
             # In the zero state the predecessor columns' gradient is zero.
             if p.d_in != W.shape[1]:
                 full = np.zeros_like(W)
                 full[:, :p.d_in] = grad
                 grad = full
-            new_ff.append(h)
-            loss_sums[j] += loss
-            if not freeze_neurons:
-                adam_step(W, grad, adam)
+            adam_step(W, grad, adam)
         ff = new_ff
 
     _, readout_loss, readout_grad = readout_forward_loss_grad(
@@ -300,29 +303,20 @@ def predict_blocks(features: np.ndarray, block_logits,
 
 def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
     """Neutral-label inference: T frozen propagation rounds, readout argmax,
-    by `predict_blocks`. Every block runs in one set of `_RoundBuffers`,
-    made for the largest block.
+    by `predict_blocks`: each block's neutral fusion, `_neutral_rounds` in
+    one `_RoundBuffers` made for the largest block, and the readout.
     """
     features = as_features(features, "predict")
     if features.shape[1] != net.raw_dim:
         raise ValueError(
             f"predict: features have {features.shape[1]} cols, "
             f"expected {net.raw_dim}")
-    work = _RoundBuffers(net, max(
-        stop - start
-        for start, stop in _row_blocks(len(features), PREDICT_BLOCK_ROWS)))
-
-    fused = [None]
+    blocks = _row_blocks(len(features), PREDICT_BLOCK_ROWS)
+    work = _RoundBuffers(net, max(stop - start for start, stop in blocks))
 
     def block_logits(x):
-        # The previous block's fused stream is kept until this one is
-        # made: releasing it first fragmented glibc's heap more, and the
-        # benchmark's ff-mnist-shaped peak RSS read 6.8 MB higher.
-        fused[0] = h_neu = neutral_fusion(x, net.n_classes, net.fusion)
-        readout_input = work.readout_input[:len(x)]
-        np.concatenate(_neutral_rounds(net, h_neu, work), axis=1,
-                       out=readout_input)
-        return readout_input @ net.readout_W.T
+        h_neu = neutral_fusion(x, net.n_classes, net.fusion)
+        return _neutral_rounds(net, h_neu, work) @ net.readout_W.T
 
     return predict_blocks(features, block_logits, "predict")
 
@@ -336,7 +330,7 @@ class _RoundBuffers:
     between rounds (one output for a neuron without predecessors, which
     keeps its round-1 output). Shared: one predecessor input, built as a
     contiguous prefix for each neuron's width, two row-length temporaries
-    for the norms, and the readout's input.
+    for the norms, and the readout input (the final outputs side by side).
     """
 
     def __init__(self, net: CyclicNet, rows: int):
@@ -352,10 +346,10 @@ class _RoundBuffers:
 
 
 def _neutral_rounds(net: CyclicNet, fused: np.ndarray,
-                    work: _RoundBuffers | None = None) -> list[np.ndarray]:
+                    work: _RoundBuffers) -> np.ndarray:
     """Every neuron's output after T frozen rounds of one fused stream,
-    from the zero state, written into `work` (made for `len(fused)` rows
-    when not given); the outputs stay valid until `work` is next used.
+    from the zero state, side by side in neuron order in the returned
+    `work.readout_input[:len(fused)]`, valid until `work` is next used.
 
     The fused stream and every W are fixed for all T rounds, so each
     neuron's product with its fused-input columns, B = F Wf^T, and the
@@ -369,8 +363,6 @@ def _neutral_rounds(net: CyclicNet, fused: np.ndarray,
     keeps its round-1 output.
     """
     rows, base = len(fused), net.base_dim
-    if work is None:
-        work = _RoundBuffers(net, rows)
     norms = row_norms(fused)[:, None]
     outputs = []
     for p, b, out in zip(net.neurons, work.fused_part, work.outputs):
@@ -401,7 +393,7 @@ def _neutral_rounds(net: CyclicNet, fused: np.ndarray,
             z /= scale[:, None]
             new.append(np.maximum(z, 0.0, out=z))
         outputs = new
-    return outputs
+    return np.concatenate(outputs, axis=1, out=work.readout_input[:rows])
 
 
 def save_checkpoint(net: CyclicNet, path) -> None:

@@ -68,9 +68,11 @@ def check_finite(a: np.ndarray, message: str) -> None:
 
 
 def check_labels(labels: np.ndarray, n_classes: int, what: str) -> None:
-    """ValueError, named by `what`, unless every label is in
-    [0, n_classes)."""
+    """ValueError, named by `what`, unless `labels` is 1-D and every label
+    is in [0, n_classes)."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"{what}: need 1-D labels, got shape {labels.shape}")
     if len(labels) and (int(labels.min()) < 0
                         or int(labels.max()) >= n_classes):
         raise ValueError(f"{what}: label out of range")
@@ -122,14 +124,14 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """(softmax y_hat, mean NLL of the labels with each probability clipped
     at 1e-12, y_hat - onehot): the last is the loss gradient w.r.t. the
-    logits times the batch size, left for the caller to divide. A label
-    count other than the row count, or a label outside [0, n_classes),
-    n_classes the logits' width, is a ValueError."""
+    logits times the batch size, left for the caller to divide. Labels
+    that are not 1-D, a label count other than the row count, or a label
+    outside [0, n_classes), n_classes the logits' width, is a ValueError."""
     y_hat = softmax_stable(logits)
+    check_labels(labels, y_hat.shape[-1], "softmax_xent")
     if len(labels) != len(y_hat):
         raise ValueError(f"softmax_xent: {len(labels)} labels for "
                          f"{len(y_hat)} rows")
-    check_labels(labels, y_hat.shape[-1], "softmax_xent")
     rows = np.arange(len(labels))
     loss = float(-np.mean(np.log(np.clip(y_hat[rows, labels], 1e-12, None))))
     delta = y_hat.copy()

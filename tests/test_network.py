@@ -16,8 +16,8 @@ from cyclicff.data import FusionMode, fuse_inputs, neutral_fusion
 from cyclicff.graph import GeneratorSpec, generate, predecessors
 import cyclicff.network as network_module
 from cyclicff.network import (MAX_T, PREDICT_BLOCK_ROWS, CyclicNet,
-                              _neutral_rounds, _round_input, build_network,
-                              forward_round, load_checkpoint,
+                              _RoundBuffers, _neutral_rounds, _round_input,
+                              build_network, forward_round, load_checkpoint,
                               predict, propagate_step,
                               readout_forward_loss_grad, save_checkpoint,
                               train_iteration, zero_state)
@@ -280,6 +280,15 @@ class TestZeroStateRound:
         np.testing.assert_array_equal(losses, ref_losses)
         assert readout_loss == ref_readout_loss
 
+    def test_frozen_neurons_build_no_padded_gradient(self):
+        # Round 1 pads its gradient to W's width only for a step that runs;
+        # with T = 1 that padded gradient is the largest array.
+        net = small_net("complete", 4, d_out=200, T=1)
+        fb = fused_batch(net)
+        W_bytes = net.neurons[0].W.nbytes
+        assert peak_bytes(train_iteration, net, fb, True) < W_bytes / 2
+        assert peak_bytes(train_iteration, net, fb) > W_bytes
+
     def test_wrong_fused_width(self):
         net = small_net("complete", 3)
         h = make_rng(0, 0).standard_normal((4, net.base_dim + 1))
@@ -449,6 +458,27 @@ class TestTrainIteration:
             train_iteration(net, bad)
         self.assert_same_net(net, before)
 
+    @pytest.mark.parametrize("field,bad", [
+        ("true_labels", lambda fb: np.append(fb.true_labels, 0)),
+        ("true_labels", lambda fb: fb.true_labels[:5]),
+        ("true_labels", lambda fb: fb.true_labels[:, None]),
+        ("h_neu", lambda fb: fb.h_neu[:5]),
+        ("h_neg", lambda fb: fb.h_neg[:, :-1]),
+        ("h_pos", lambda fb: fb.h_pos[0]),
+    ], ids=["seven-labels", "five-labels", "2-D-labels", "short-h_neu",
+            "narrow-h_neg", "1-D-h_pos"])
+    def test_malformed_batch_rejected_before_any_step(self, field, bad):
+        # Checked before the first step: the readout's label count check
+        # and numpy's shape errors come only after every neuron has stepped.
+        net = small_net("complete", 3)
+        fb = fused_batch(net)
+        train_iteration(net, fb)
+        malformed = dataclasses.replace(fb, **{field: bad(fb)})
+        before = copy.deepcopy(net)
+        with pytest.raises(ValueError, match="^train_iteration: "):
+            train_iteration(net, malformed)
+        self.assert_same_net(net, before)
+
     def test_empty_batch_rejected_before_any_step(self):
         net = small_net()
         fb = fused_batch(net)
@@ -573,11 +603,12 @@ class TestPredict:
         fused = neutral_fusion(feats, net.n_classes, net.fusion)
         first, want = forward_round_logits(net, fused)
 
-        one_round = _neutral_rounds(dataclasses.replace(net, T=1), fused)
-        for got_j, want_j in zip(one_round, first):
-            np.testing.assert_array_equal(got_j, want_j)
-        got = np.concatenate(_neutral_rounds(net, fused), axis=1) @ (
-            net.readout_W.T)
+        work = _RoundBuffers(net, len(fused))
+        one_round = _neutral_rounds(dataclasses.replace(net, T=1), fused,
+                                    work)
+        np.testing.assert_array_equal(one_round,
+                                      np.concatenate(first, axis=1))
+        got = _neutral_rounds(net, fused, work) @ net.readout_W.T
         if T == 1:
             np.testing.assert_array_equal(got, want)
         else:
@@ -595,7 +626,11 @@ class TestPredict:
         net = small_net("chain", n, T=T)
         fused = neutral_fusion(make_rng(1, 0).standard_normal(
             (6, net.raw_dim)), net.n_classes, net.fusion)
-        outputs = _neutral_rounds(net, fused)
+        # Buffers for more rows than the block: the result is their prefix.
+        work = _RoundBuffers(net, 10)
+        readout_input = _neutral_rounds(net, fused, work)
+        assert readout_input.base is work.readout_input
+        outputs = np.hsplit(readout_input, n)
         seq = neuron_forward(net.neurons[0], fused)
         np.testing.assert_array_equal(outputs[0], seq)
         for j in range(1, n):

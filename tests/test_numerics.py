@@ -1,4 +1,5 @@
 import copy
+import re
 import warnings
 
 import numpy as np
@@ -126,6 +127,15 @@ class TestSoftmax:
         with pytest.raises(ValueError, match=(
                 f"softmax_xent: {n_labels} labels for 2 rows")):
             softmax_xent(np.zeros((2, 3)), np.zeros(n_labels, dtype=int))
+
+    def test_xent_2d_labels_rejected(self):
+        # A (rows x 1) label column broadcasts the fancy index to a wrong
+        # loss and delta.
+        logits = make_rng(0, 0).standard_normal((6, 3))
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        with pytest.raises(ValueError, match=re.escape(
+                "softmax_xent: need 1-D labels, got shape (6, 1)")):
+            softmax_xent(logits, labels[:, None])
 
     @given(finite_vectors)
     @settings(max_examples=50)

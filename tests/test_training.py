@@ -252,6 +252,13 @@ class TestBPChainBaseline:
         with pytest.raises(ValueError, match="label out of range"):
             model.loss_and_grads(np.zeros((2, 4)), np.array([0, label]))
 
+    def test_2d_labels_rejected(self):
+        # A label column broadcasts softmax_xent's index to a wrong loss.
+        model = BPChainMLP(dim=4, width=5, n_classes=3, rng=make_rng(0, 0))
+        x = make_rng(1, 0).standard_normal((6, 4))
+        with pytest.raises(ValueError, match="need 1-D labels"):
+            model.loss_and_grads(x, np.array([0, 1, 2, 0, 1, 2])[:, None])
+
     @pytest.mark.parametrize("call", ["predict", "loss_and_grads"])
     def test_wrong_feature_width_rejected(self, call):
         model = BPChainMLP(dim=4, width=5, n_classes=3, rng=make_rng(0, 0))
