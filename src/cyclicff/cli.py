@@ -28,7 +28,8 @@ from .data import (Dataset, FusionMode, load_embeddings, load_mnist_idx,
                    save_embeddings, split, synth_blobs)
 from .graph import GeneratorSpec, generate, has_cycle, predecessors, to_edge_list
 from .network import load_checkpoint, save_checkpoint
-from .numerics import check_seed, make_rng, openblas_thread_calls
+from .numerics import (check_seed, make_rng, openblas_config,
+                       openblas_thread_calls)
 from .training import TrainConfig, evaluate, run_config
 
 
@@ -289,6 +290,10 @@ def _write_atomic(path: str, write) -> None:
 
 def write_manifest(path: str, cfg: dict[str, str], seeds: list[int],
                    artifacts: dict[str, str], started: float) -> None:
+    """The run's record. Its bits depend on the BLAS build and thread
+    count, so `blas` holds numpy's bundled OpenBLAS configuration (with
+    its core name) and this process's thread count, or null without one."""
+    calls = openblas_thread_calls()
     manifest = {
         "config": cfg,
         "seeds": seeds,
@@ -296,6 +301,8 @@ def write_manifest(path: str, cfg: dict[str, str], seeds: list[int],
         "git_describe": _git_describe(),
         "started": started,
         "ended": time.time(),
+        "blas": None if calls is None else {"config": openblas_config(),
+                                            "threads": calls[0]()},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True)
     _write_atomic(path, lambda tmp: Path(tmp).write_text(text))

@@ -20,8 +20,8 @@ from .data import (FusionMode, FusedBatch, as_features, neutral_fusion,
 from .graph import Topology, predecessors
 from .neuron import (NeuronParams, init_neuron, neuron_forward,
                      ff_loss_grad_outputs)
-from .numerics import (EPS_NORM, AdamState, adam_step, check_finite,
-                       check_labels, row_norms, softmax_xent)
+from .numerics import (EPS_NORM, AdamState, adam_step, blas_threads_for,
+                       check_finite, check_labels, row_norms, softmax_xent)
 
 CHECKPOINT_MAGIC = b"CNN1"
 CHECKPOINT_VERSION = 2
@@ -305,6 +305,11 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
     """Neutral-label inference: T frozen propagation rounds, readout argmax,
     by `predict_blocks`: each block's neutral fusion, `_neutral_rounds` in
     one `_RoundBuffers` made for the largest block, and the readout.
+
+    When the largest block's product with the widest W is below
+    `numerics.SMALL_PRODUCT` multiply-adds, the blocks run on one OpenBLAS
+    thread (`numerics.blas_threads_for`). That count is process-wide, so
+    calling this from several Python threads at once is not supported.
     """
     features = as_features(features, "predict")
     if features.shape[1] != net.raw_dim:
@@ -312,13 +317,16 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
             f"predict: features have {features.shape[1]} cols, "
             f"expected {net.raw_dim}")
     blocks = _row_blocks(len(features), PREDICT_BLOCK_ROWS)
-    work = _RoundBuffers(net, max(stop - start for start, stop in blocks))
+    rows = max(stop - start for start, stop in blocks)
+    work = _RoundBuffers(net, rows)
 
     def block_logits(x):
         h_neu = neutral_fusion(x, net.n_classes, net.fusion)
         return _neutral_rounds(net, h_neu, work) @ net.readout_W.T
 
-    return predict_blocks(features, block_logits, "predict")
+    widest = max(w.size for w in [p.W for p in net.neurons] + [net.readout_W])
+    with blas_threads_for(rows * widest):
+        return predict_blocks(features, block_logits, "predict")
 
 
 class _RoundBuffers:

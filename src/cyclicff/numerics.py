@@ -8,7 +8,9 @@ thread count of numpy's bundled OpenBLAS is read and set here too.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import glob
 import os
 from dataclasses import dataclass
@@ -27,6 +29,15 @@ ADAM_EPS = 1e-8
 # passes of the update instead of going back to main memory.
 ADAM_BLOCK_BYTES = 1 << 17
 ADAM_BLOCK = ADAM_BLOCK_BYTES // 8
+# `blas_threads_for` runs a body whose largest product has fewer
+# multiply-adds than this on one OpenBLAS thread. Measured on 2 cores
+# (OpenBLAS 0.3.31, SkylakeX), complete-4 nets, 1 thread against 2, median
+# of 5 alternating processes per shape: training whose largest product is
+# 1.1M, 2.4M, 4.0M, 6.5M, 11.3M multiply-adds ran 1.16, 1.17, 1.09, 1.06,
+# 0.97x as fast; predict at 2.2M, 4.8M, 8.1M, 12.9M, 22.5M ran 1.03, 1.07,
+# 0.90, 0.86, 0.83x. Predict crosses over between 4.8M and 8.1M, so the
+# line sits just below it.
+SMALL_PRODUCT = 1 << 22
 
 # Named sub-streams. Keeping the ids stable is part of the reproducibility
 # contract: a (seed, stream) pair must generate the same sequence forever.
@@ -226,9 +237,10 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         p -= a
 
 
+@functools.cache
 def _bundled_openblas():
     """numpy's bundled OpenBLAS (the library benchmarks/run.py finds), or
-    None when there is none."""
+    None when there is none; looked up once per process."""
     libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                           "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "*openblas*")):
@@ -238,6 +250,7 @@ def _bundled_openblas():
     return None
 
 
+@functools.cache
 def openblas_thread_calls():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
     when there is none."""
@@ -249,3 +262,41 @@ def openblas_thread_calls():
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     return get, set_
+
+
+def openblas_config():
+    """The configuration string of numpy's bundled OpenBLAS (its version,
+    build options and core), or None when there is none."""
+    lib = _bundled_openblas()
+    if lib is None:
+        return None
+    config = lib.scipy_openblas_get_config64_
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    return " ".join(config().decode().split())
+
+
+@contextlib.contextmanager
+def blas_threads_for(multiply_adds: int):
+    """The body runs numpy's bundled OpenBLAS on 1 thread when the largest
+    product it computes, of `multiply_adds` multiply-adds, is below
+    SMALL_PRODUCT; the caller's count is restored on exit, also when the
+    body raises. Otherwise, or without a bundled OpenBLAS, it does nothing,
+    so it never raises the count.
+
+    Between two small products, OpenBLAS's other threads spin waiting for
+    work, so they cost a core for the whole body while saving little on
+    each product. The count is a setting of the whole process: bodies run
+    concurrently from several Python threads would change it for each
+    other, which is not supported.
+    """
+    calls = openblas_thread_calls() if multiply_adds < SMALL_PRODUCT else None
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)

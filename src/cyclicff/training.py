@@ -13,8 +13,8 @@ from .data import (Dataset, FusionMode, as_features, fuse_inputs,
 from .graph import GeneratorSpec, generate
 from .network import (MAX_T, CyclicNet, build_network, predict,
                       predict_blocks, train_iteration)
-from .numerics import (AdamState, adam_step, check_seed, make_rng, relu,
-                       softmax_xent)
+from .numerics import (AdamState, adam_step, blas_threads_for, check_seed,
+                       make_rng, relu, softmax_xent)
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,13 @@ def _fit(cfg: TrainConfig, model, train: Dataset, val: Dataset, batch_step,
 def train_loop(cfg: TrainConfig, train: Dataset,
                val: Dataset) -> tuple[CyclicNet, Metrics]:
     """Build the cyclic net and fit it with local forward-forward steps;
-    `_fit` holds the epoch and early-stopping rules."""
+    `_fit` holds the epoch and early-stopping rules.
+
+    A net whose largest training product (the FF stream's 2 x batch_size
+    rows by the widest W) is below `numerics.SMALL_PRODUCT` multiply-adds
+    trains, and evaluates per epoch, on one OpenBLAS thread
+    (`numerics.blas_threads_for`). That count is process-wide, so running
+    this from several Python threads at once is not supported."""
     topo = generate(cfg.generator)
     base_dim = cfg.fusion.fused_dim(train.dim, train.n_classes)
     net = build_network(topo, base_dim, cfg.d_out, train.n_classes,
@@ -173,8 +179,9 @@ def train_loop(cfg: TrainConfig, train: Dataset,
             freeze_readout=cfg.freeze_readout)
         return per_neuron.mean(), r_loss
 
-    return _fit(cfg, net, train, val, batch_step,
-                [p.W for p in net.neurons] + [net.readout_W])
+    weights = [p.W for p in net.neurons] + [net.readout_W]
+    with blas_threads_for(2 * cfg.batch_size * max(w.size for w in weights)):
+        return _fit(cfg, net, train, val, batch_step, weights)
 
 
 class BPChainMLP:

@@ -1,5 +1,4 @@
 import contextlib
-import ctypes
 import gzip
 import os
 import struct
@@ -9,9 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-# Defined in the library, where the sweep workers use them; the tests
-# import them from here.
-from cyclicff.numerics import _bundled_openblas, openblas_thread_calls  # noqa: F401
+# Defined in the library, where the sweep workers and the run manifest use
+# them; the tests import them from here.
+from cyclicff.numerics import openblas_config, openblas_thread_calls  # noqa: F401
 
 MNIST_FILES = {
     "train_images": ("train-images-idx3-ubyte", "train-images-idx3-ubyte.gz"),
@@ -50,14 +49,20 @@ def mnist_paths():
     return paths
 
 
-def openblas_config():
-    """The configuration string of numpy's bundled OpenBLAS (its version,
-    build options and core), or None when there is none."""
-    lib = _bundled_openblas()
-    if lib is None:
-        return None
-    lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
-    return " ".join(lib.scipy_openblas_get_config64_().decode().split())
+@pytest.fixture
+def two_blas_threads():
+    """(get, set) of the bundled OpenBLAS's thread count, set to 2 for the
+    test and restored after it."""
+    calls = openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_ = calls
+    original = get()
+    set_(2)
+    try:
+        yield calls
+    finally:
+        set_(original)
 
 
 def write_idx_images(path, images: np.ndarray, gz=False):

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import (OVERSIZED_CHECKPOINT, OVERSIZED_EMBEDDINGS,
                       UNRUNNABLE_CHECKPOINTS, chain_checkpoint,
-                      fifo_serving, openblas_thread_calls, write_idx_images,
-                      write_idx_labels)
+                      fifo_serving, openblas_config, openblas_thread_calls,
+                      write_idx_images, write_idx_labels)
 from cyclicff import cli
 from cyclicff import data as data_module
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
@@ -154,6 +154,26 @@ class TestTrainCommand:
                          if f.endswith(".manifest.json")][0]
         manifest = json.loads((out_dir / manifest_file).read_text())
         assert manifest["config"]["T"] == "5"
+
+    @pytest.mark.parametrize("bundled", [True, False])
+    def test_manifest_records_the_blas(self, cfg_path, tmp_path,
+                                       monkeypatch, bundled):
+        # The bits depend on the BLAS build and thread count.
+        if not bundled:
+            monkeypatch.setattr(cli, "openblas_thread_calls", lambda: None)
+        calls = cli.openblas_thread_calls()
+        if bundled and calls is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        out_dir = tmp_path / "out"
+        assert run_cli(["train", "--config", cfg_path,
+                        "--set", f"out_dir={out_dir}"]) == 0
+        [manifest_file] = out_dir.glob("*.manifest.json")
+        blas = json.loads(manifest_file.read_text())["blas"]
+        if not bundled:
+            assert blas is None
+            return
+        assert blas == {"config": openblas_config(), "threads": calls[0]()}
+        assert blas["config"].startswith("OpenBLAS ")
 
     def test_default_out_dir(self, cfg_path, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

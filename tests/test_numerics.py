@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import re
 import warnings
 
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import peak_bytes
-from cyclicff.numerics import (ADAM_BLOCK, ADAM_BLOCK_BYTES, AdamState,
-                               adam_step, check_finite, l2_normalize_rows,
-                               make_rng, sigmoid, softmax_stable,
-                               softmax_xent)
+from cyclicff import numerics
+from cyclicff.numerics import (ADAM_BLOCK, ADAM_BLOCK_BYTES, SMALL_PRODUCT,
+                               AdamState, adam_step, blas_threads_for,
+                               check_finite, l2_normalize_rows, make_rng,
+                               openblas_config, openblas_thread_calls,
+                               sigmoid, softmax_stable, softmax_xent)
 
 finite_vectors = arrays(np.float64, st.integers(1, 12),
                         elements=st.floats(-1e6, 1e6, allow_nan=False))
@@ -384,3 +387,58 @@ def test_sigmoid_bitwise_equals_masked_form():
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestBlasThreads:
+    def test_small_products_run_on_one_thread(self, two_blas_threads):
+        get, _ = two_blas_threads
+        with blas_threads_for(SMALL_PRODUCT - 1):
+            assert get() == 1
+            with blas_threads_for(0):  # nested
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+        with blas_threads_for(SMALL_PRODUCT):
+            assert get() == 2
+        assert get() == 2
+
+    def test_count_restored_when_the_body_raises(self, two_blas_threads):
+        get, _ = two_blas_threads
+        with pytest.raises(ValueError, match="body"):
+            with blas_threads_for(1):
+                raise ValueError("body")
+        assert get() == 2
+
+    def test_never_raises_the_count(self, two_blas_threads):
+        get, set_ = two_blas_threads
+        set_(1)
+        for multiply_adds in (0, SMALL_PRODUCT):
+            with blas_threads_for(multiply_adds):
+                assert get() == 1
+            assert get() == 1
+
+    def test_nothing_without_a_bundled_openblas(self, monkeypatch):
+        monkeypatch.setattr(numerics, "openblas_thread_calls", lambda: None)
+        with blas_threads_for(1):
+            pass
+
+    def test_library_looked_up_once(self, monkeypatch):
+        globs = []
+        real = numerics.glob.glob
+
+        def counting(pattern):
+            globs.append(pattern)
+            return real(pattern)
+
+        monkeypatch.setattr(numerics.glob, "glob", counting)
+        numerics._bundled_openblas.cache_clear()
+        numerics.openblas_thread_calls.cache_clear()
+        first = openblas_thread_calls()
+        assert openblas_thread_calls() is first
+        config = openblas_config()
+        assert openblas_config() == config
+        assert len(globs) == 1
+        if first is not None:
+            get, set_ = first
+            assert get.restype is ctypes.c_int
+            assert set_.argtypes == [ctypes.c_int]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 from pathlib import Path
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, openblas_thread_calls, peak_bytes, rel_err
+from test_bits import workload_runs
 from cyclicff import cli
+from cyclicff import training as training_module
 from cyclicff.data import split, synth_blobs
 from cyclicff.graph import GeneratorSpec
 import cyclicff.network as network_module
@@ -454,6 +457,21 @@ class TestMetricsCsv:
 
 
 class TestDeterminism:
+    def test_narrow_net_same_bits_at_one_and_two_threads(
+            self, two_blas_threads, tmp_path):
+        # ff-small-synth's shapes train on one BLAS thread whatever the
+        # caller's count, so the count does not move their bits.
+        get, set_ = two_blas_threads
+        cfg, train, val, _ = workload_runs("ff-small-synth")
+        checkpoints = []
+        for threads in (1, 2):
+            set_(threads)
+            net, _ = train_loop(cfg, train, val)
+            assert get() == threads
+            save_checkpoint(net, tmp_path / "net.ckpt")
+            checkpoints.append((tmp_path / "net.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
     def test_same_bits_at_a_pinned_blas_thread_count(self, tmp_path):
         # The README's contract: a fixed numpy build and BLAS thread count
         # give the same checkpoint bytes. Counts are not compared with each
@@ -480,3 +498,84 @@ class TestDeterminism:
                 assert runs[0] == runs[1], threads
         finally:
             set_(original)
+
+
+class TestBlasThreads:
+    """Narrow nets train and predict on one OpenBLAS thread, and the
+    caller's count comes back after a return or an error."""
+
+    @staticmethod
+    def log_counts(monkeypatch, get):
+        """Records the thread count at each `train_iteration` and each
+        `predict_blocks` call, as (name, count) pairs."""
+        seen = []
+
+        def logged(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                seen.append((name, get()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        logged(training_module, "train_iteration")
+        logged(network_module, "predict_blocks")
+        return seen
+
+    def test_narrow_net_on_one_thread(self, two_blas_threads, monkeypatch):
+        # The per-epoch evaluation's predict nests its scope in train_loop's;
+        # the steps after it still run on one thread.
+        get, _ = two_blas_threads
+        seen = self.log_counts(monkeypatch, get)
+        train, val, test = make_data()
+        net, _ = train_loop(quick_cfg(max_epochs=2), train, val)
+        assert get() == 2
+        steps = [c for where, c in seen if where == "train_iteration"]
+        assert len(steps) > 2 and set(steps) == {1}
+        assert [c for where, c in seen if where == "predict_blocks"] == \
+            [1] * 4
+        seen.clear()
+        predict(net, test.features)
+        assert seen == [("predict_blocks", 1)]
+        assert get() == 2
+
+    def test_wide_net_keeps_the_callers_count(self, two_blas_threads,
+                                              monkeypatch):
+        # The MNIST shape: 784 dims, complete-4, d_out 200.
+        get, _ = two_blas_threads
+        seen = self.log_counts(monkeypatch, get)
+        train, val, test = make_data(n_per_class=40, dim=784)
+        cfg = quick_cfg(generator=GeneratorSpec("complete", 4), d_out=200,
+                        max_epochs=1)
+        net, _ = train_loop(cfg, train, val)
+        predict(net, test.features)
+        assert seen and {c for _, c in seen} == {2}
+        assert get() == 2
+
+    def test_count_restored_after_predict_error(self, two_blas_threads):
+        get, _ = two_blas_threads
+        train, val, test = make_data()
+        net, _ = train_loop(quick_cfg(max_epochs=1), train, val)
+        net.readout_W = 1e300 * np.sign(make_rng(0, 7).standard_normal(
+            net.readout_W.shape))
+        for p in net.neurons:
+            p.W *= 1e10
+        with pytest.raises(ValueError, match="predict: non-finite logits"):
+            predict(net, test.features)
+        assert get() == 2
+
+    def test_count_restored_after_malformed_batch(self, two_blas_threads,
+                                                  monkeypatch):
+        get, _ = two_blas_threads
+        real = training_module.fuse_inputs
+
+        def short_labels(*args):
+            fb = real(*args)
+            return dataclasses.replace(fb, true_labels=fb.true_labels[:-1])
+
+        monkeypatch.setattr(training_module, "fuse_inputs", short_labels)
+        train, val, _ = make_data()
+        with pytest.raises(ValueError, match="^train_iteration: "):
+            train_loop(quick_cfg(max_epochs=1), train, val)
+        assert get() == 2
