@@ -107,19 +107,24 @@ def fuse_inputs(features: np.ndarray, labels: np.ndarray, n_classes: int,
     """Build the positive / negative / neutral streams for one batch.
 
     Negative labels are drawn uniformly from the n_classes - 1 false labels,
-    fresh on every call. An empty batch or a label outside [0, n_classes) is
-    a ValueError.
+    fresh on every call. An empty batch, labels that `check_labels` rejects
+    or a row count other than the labels' is a ValueError, raised before
+    `rng` moves.
     """
     if n_classes < 2:
         raise ValueError("fuse_inputs: need at least 2 classes")
     features = np.asarray(as_features(features, "fuse_inputs"),
                           dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if not len(labels):
         raise ValueError("fuse_inputs: empty batch")
     check_labels(labels, n_classes, "fuse_inputs")
-
     batch = len(labels)
+    if len(features) != batch:
+        raise ValueError(
+            f"fuse_inputs: {len(features)} feature rows for {batch} labels")
+    labels = labels.astype(np.int64, copy=False)
+
     eye = np.eye(n_classes, dtype=np.float64)
     pos_vecs = eye[labels]
     # Shift by 1..n_classes-1 modulo n_classes: never the true label.

@@ -92,6 +92,12 @@ class CyclicNet:
                 f"{self.readout_W.shape[1]}, expected {shape[0]}x{shape[1]}")
 
     @property
+    def weights(self) -> list[np.ndarray]:
+        """Every neuron's W in neuron order, then readout_W: the arrays
+        that training moves and `predict` and checkpoints read."""
+        return [p.W for p in self.neurons] + [self.readout_W]
+
+    @property
     def raw_dim(self) -> int:
         if self.fusion.mode == "overlay":
             return self.base_dim
@@ -191,7 +197,6 @@ def readout_forward_loss_grad(net: CyclicNet, neu_outputs: list[np.ndarray],
                               labels: np.ndarray):
     """Softmax readout over the concatenation of all neurons' neutral
     outputs; returns (y_hat, loss, grad w.r.t. readout_W)."""
-    labels = np.asarray(labels, dtype=np.int64)
     x = np.concatenate(neu_outputs, axis=1)
     if x.shape[1] != net.readout_W.shape[1]:
         raise ValueError(
@@ -324,8 +329,7 @@ def predict(net: CyclicNet, features: np.ndarray) -> np.ndarray:
         h_neu = neutral_fusion(x, net.n_classes, net.fusion)
         return _neutral_rounds(net, h_neu, work) @ net.readout_W.T
 
-    widest = max(w.size for w in [p.W for p in net.neurons] + [net.readout_W])
-    with blas_threads_for(rows * widest):
+    with blas_threads_for(rows * max(w.size for w in net.weights)):
         return predict_blocks(features, block_logits, "predict")
 
 
@@ -462,10 +466,10 @@ def load_checkpoint(path) -> CyclicNet:
         if f.read(1):
             raise ValueError("checkpoint: trailing bytes after the readout")
     fusion = FusionMode("overlay" if fusion_flag else "concat")
-    topology = Topology(n_neurons=n, synapses=tuple(edges))
     try:
         return CyclicNet(
-            topology=topology, neurons=neurons,
+            topology=Topology(n_neurons=n, synapses=tuple(edges)),
+            neurons=neurons,
             neuron_adam=[AdamState() for _ in neurons],
             readout_W=readout_W, readout_adam=AdamState(),
             base_dim=base_dim, T=T, n_classes=n_classes, fusion=fusion)

@@ -79,13 +79,16 @@ def check_finite(a: np.ndarray, message: str) -> None:
 
 
 def check_labels(labels: np.ndarray, n_classes: int, what: str) -> None:
-    """ValueError, named by `what`, unless `labels` is 1-D and every label
-    is in [0, n_classes)."""
+    """ValueError, named by `what`, unless `labels` is 1-D, of an integer
+    type (not bool), and every label is in [0, n_classes)."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError(f"{what}: need 1-D labels, got shape {labels.shape}")
-    if len(labels) and (int(labels.min()) < 0
-                        or int(labels.max()) >= n_classes):
+    # A cast to int truncates a float label, and a bool array indexes as a
+    # mask.
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"{what}: need integer labels, got {labels.dtype}")
+    if len(labels) and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"{what}: label out of range")
 
 
@@ -276,27 +279,29 @@ def openblas_config():
 
 
 @contextlib.contextmanager
-def blas_threads_for(multiply_adds: int):
-    """The body runs numpy's bundled OpenBLAS on 1 thread when the largest
-    product it computes, of `multiply_adds` multiply-adds, is below
-    SMALL_PRODUCT; the caller's count is restored on exit, also when the
-    body raises. Otherwise, or without a bundled OpenBLAS, it does nothing,
-    so it never raises the count.
-
-    Between two small products, OpenBLAS's other threads spin waiting for
-    work, so they cost a core for the whole body while saving little on
-    each product. The count is a setting of the whole process: bodies run
-    concurrently from several Python threads would change it for each
-    other, which is not supported.
-    """
-    calls = openblas_thread_calls() if multiply_adds < SMALL_PRODUCT else None
+def blas_threads(n: int):
+    """The body runs numpy's bundled OpenBLAS at `n` threads, and the
+    caller's count is restored on exit, also when the body raises; without
+    a bundled OpenBLAS, nothing. The count is process-wide, so bodies run
+    concurrently from several Python threads are not supported."""
+    calls = openblas_thread_calls()
     if calls is None:
         yield
         return
     get, set_ = calls
     threads = get()
-    set_(1)
+    set_(n)
     try:
         yield
     finally:
         set_(threads)
+
+
+def blas_threads_for(multiply_adds: int):
+    """`blas_threads(1)` when the largest product its body computes, of
+    `multiply_adds` multiply-adds, is below SMALL_PRODUCT; otherwise a
+    scope that does nothing, so it never raises the count. Between two
+    small products, OpenBLAS's other threads spin waiting for work, so
+    they cost a core for the whole body while saving little on each."""
+    return (blas_threads(1) if multiply_adds < SMALL_PRODUCT
+            else contextlib.nullcontext())

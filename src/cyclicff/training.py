@@ -179,7 +179,7 @@ def train_loop(cfg: TrainConfig, train: Dataset,
             freeze_readout=cfg.freeze_readout)
         return per_neuron.mean(), r_loss
 
-    weights = [p.W for p in net.neurons] + [net.readout_W]
+    weights = net.weights
     with blas_threads_for(2 * cfg.batch_size * max(w.size for w in weights)):
         return _fit(cfg, net, train, val, batch_step, weights)
 
@@ -242,7 +242,6 @@ class BPChainMLP:
         """(loss, weight gradients, bias gradients). The gradients are views
         of one flat vector laid out like `params`: `out` when given, else a
         fresh one, so an earlier call's gradients are never overwritten."""
-        labels = np.asarray(labels, dtype=np.int64)
         x = self._features(x, "BPChainMLP.loss_and_grads")
         acts = list(self._activations(np.asarray(x, dtype=np.float64)))
         _, loss, delta = softmax_xent(self._logits(acts[-1]), labels)

@@ -10,7 +10,8 @@ import pytest
 
 # Defined in the library, where the sweep workers and the run manifest use
 # them; the tests import them from here.
-from cyclicff.numerics import openblas_config, openblas_thread_calls  # noqa: F401
+from cyclicff.numerics import (blas_threads, openblas_config,  # noqa: F401
+                               openblas_thread_calls)
 
 MNIST_FILES = {
     "train_images": ("train-images-idx3-ubyte", "train-images-idx3-ubyte.gz"),
@@ -49,6 +50,23 @@ def mnist_paths():
     return paths
 
 
+@pytest.fixture(autouse=True)
+def blas_thread_count_kept():
+    """Fails a test that leaves numpy's bundled OpenBLAS at another thread
+    count than it found, since the bits depend on the count; the count is
+    restored, so the next test starts from it."""
+    calls = openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, _ = calls
+    before = get()
+    with blas_threads(before):
+        yield
+        after = get()
+    assert after == before, f"test left {after} BLAS threads, found {before}"
+
+
 @pytest.fixture
 def two_blas_threads():
     """(get, set) of the bundled OpenBLAS's thread count, set to 2 for the
@@ -56,13 +74,8 @@ def two_blas_threads():
     calls = openblas_thread_calls()
     if calls is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
-    get, set_ = calls
-    original = get()
-    set_(2)
-    try:
+    with blas_threads(2):
         yield calls
-    finally:
-        set_(original)
 
 
 def write_idx_images(path, images: np.ndarray, gz=False):
@@ -91,14 +104,18 @@ OVERSIZED_CHECKPOINT = (b"CNN1" + struct.pack("<IIIII", 1, 1, 8, 2, 0)
                         + struct.pack("<IId", 2**32 - 1, 2**32 - 1, 1.0))
 
 
-def chain_checkpoint(base_dim, n_classes, d_outs, fusion_flag=0) -> bytes:
-    """A version-2 checkpoint of the chain 0 -> 1 with zero weights and T 2,
-    written byte by byte, so that any header, runnable or not, can be
-    stored. d_outs is the two neurons' (d_out, d_out)."""
+def chain_checkpoint(base_dim, n_classes, d_outs, fusion_flag=0,
+                     edges=((0, 1),)) -> bytes:
+    """A version-2 checkpoint with zero weights and T 2, written byte by
+    byte, so that any header, runnable or not, can be stored. d_outs holds
+    each neuron's d_out; neuron j > 0 takes neuron j - 1's outputs, as in
+    the default `edges`, the (src, dst) synapses of the chain 0 -> 1."""
     parts = [b"CNN1",
              struct.pack("<IIIII", 2, 2, base_dim, n_classes, fusion_flag),
-             struct.pack("<II", 2, 1), struct.pack("<II", 0, 1)]
-    for d_in, d_out in zip((base_dim, base_dim + d_outs[0]), d_outs):
+             struct.pack("<II", len(d_outs), len(edges))]
+    parts += [struct.pack("<II", *edge) for edge in edges]
+    d_ins = [base_dim] + [base_dim + d_out for d_out in d_outs[:-1]]
+    for d_in, d_out in zip(d_ins, d_outs):
         parts += [struct.pack("<IId", d_in, d_out, 1.0),
                   bytes(8 * d_in * d_out)]
     cols = sum(d_outs)
@@ -122,6 +139,15 @@ UNRUNNABLE_CHECKPOINTS = {
                   "checkpoint: n_classes is 1, need at least 2"),
     "d_out-0": ((4, 2, (0, 2), 0),
                 "checkpoint: neuron 0 has d_out 0, need >= 1"),
+    "no-neurons": ((4, 2, (), 0, ()),
+                   "checkpoint: Topology: need at least one neuron"),
+    "self-loop": ((4, 2, (2, 2), 0, ((1, 1),)),
+                  "checkpoint: Topology: self-loop on neuron 1"),
+    "synapse-out-of-range": ((4, 2, (2, 2), 0, ((0, 2),)),
+                             "checkpoint: Topology: synapse (0,2) out of "
+                             "range"),
+    "duplicate-synapse": ((4, 2, (2, 2), 0, ((0, 1), (0, 1))),
+                          "checkpoint: Topology: duplicate synapse (0,1)"),
 }
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import openblas_config, openblas_thread_calls
+from conftest import blas_threads, openblas_config
 from test_acceptance import synth_splits
 import cyclicff.network as network_module
 from cyclicff import cli
@@ -69,18 +69,6 @@ def bits_key():
     if config is None:
         return None
     return f"numpy {np.__version__}; {config}; BLAS threads 1"
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """The body runs with numpy's bundled OpenBLAS at 1 thread."""
-    get, set_ = openblas_thread_calls()
-    original = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(original)
 
 
 def sha(data: bytes) -> str:
@@ -199,7 +187,7 @@ def test_bits_match_the_pinned_digests(case, tmp_path):
     pinned = json.loads(BITS_FILE.read_text()).get(key)
     if pinned is None:
         pytest.skip(f"tests/bits.json has no digests for {key!r}")
-    with one_blas_thread():
+    with blas_threads(1):
         assert CASES[case](tmp_path) == pinned[case]
 
 
@@ -210,7 +198,7 @@ def regenerate() -> None:
     if key is None:
         sys.exit("numpy's bundled OpenBLAS not found")
     bits = json.loads(BITS_FILE.read_text()) if BITS_FILE.exists() else {}
-    with one_blas_thread():
+    with blas_threads(1):
         entry = {}
         for case, run in CASES.items():
             with tempfile.TemporaryDirectory() as tmp:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import (OVERSIZED_CHECKPOINT, OVERSIZED_EMBEDDINGS,
-                      UNRUNNABLE_CHECKPOINTS, chain_checkpoint,
-                      fifo_serving, openblas_config, openblas_thread_calls,
-                      write_idx_images, write_idx_labels)
+                      UNRUNNABLE_CHECKPOINTS, blas_threads, chain_checkpoint,
+                      fifo_serving, openblas_config, write_idx_images,
+                      write_idx_labels)
 from cyclicff import cli
 from cyclicff import data as data_module
 from cyclicff.cli import (ConfigError, _git_describe, config_hash,
@@ -836,14 +836,12 @@ class TestSweepCommand:
 class TestSweepWorkerThreads:
     @pytest.mark.parametrize("parent", [1, 2])
     def test_workers_share_out_the_cores(self, sweep_cfg, tmp_path,
-                                         monkeypatch, parent):
+                                         monkeypatch, two_blas_threads,
+                                         parent):
         # A forked worker would keep this process's OpenBLAS thread count,
         # so 2 workers on 2 cores would run 4 threads. Each worker logs its
         # count to a file, as the workers are other processes.
-        calls = openblas_thread_calls()
-        if calls is None:
-            pytest.skip("numpy's bundled OpenBLAS not found")
-        get, set_ = calls
+        get, _ = two_blas_threads
         log = tmp_path / "threads.log"
 
         def run(tc, train, val, test):
@@ -852,15 +850,11 @@ class TestSweepWorkerThreads:
             return None, Metrics(test_err=0.0)
 
         monkeypatch.setattr(cli, "run_config", run)
-        original = get()
-        set_(parent)
-        try:
+        with blas_threads(parent):
             parent = get()
             assert run_cli(["sweep", "--config", sweep_cfg, "--set",
                             "T=1,2", "--seeds", "1,2", "--jobs", "2"]) == 0
             assert get() == parent
-        finally:
-            set_(original)
         cores = len(os.sched_getaffinity(0))
         want = min(parent, max(1, cores // 2))
         assert log.read_text().split() == [str(want)] * 4

@@ -31,6 +31,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="out of range"):
             Dataset(np.zeros((2, 4)), np.array([0, label]), 3)
 
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.5, 0.0], [-0.5, 0.0, 1.0], [0.0, np.nan, 1.0],
+        [True, False, True]], ids=["half", "minus-half", "nan", "bool"])
+    def test_labels_must_be_integers(self, labels):
+        # Cast to int64 later, 0.5 and 1.5 trained as 0 and 1.
+        labels = np.array(labels)
+        with pytest.raises(ValueError, match=re.escape(
+                f"Dataset: need integer labels, got {labels.dtype}")):
+            Dataset(np.zeros((3, 4)), labels, 2)
+
     def test_labels_must_be_1d(self):
         # A column of labels would broadcast `preds != labels` to n x n.
         with pytest.raises(ValueError, match=re.escape(
@@ -229,12 +239,26 @@ class TestFuseInputs:
 
     @pytest.mark.parametrize("labels,message", [
         ([0, -1], "label out of range"), ([0, 3], "label out of range"),
-        ([], "empty batch")], ids=["minus-one", "n-classes", "empty"])
+        ([], "empty batch"), ([0.5, 1.5], "need integer labels, got float64"),
+        ([0, np.nan], "need integer labels, got float64"),
+        ([True, False], "need integer labels, got bool")],
+        ids=["minus-one", "n-classes", "empty", "half", "nan", "bool"])
     def test_bad_batch_rejected_before_drawing(self, rng, labels, message):
         untouched = copy.deepcopy(rng)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^fuse_inputs: {message}"):
             fuse_inputs(np.zeros((len(labels), 4)), np.array(labels), 3,
                         FusionMode("concat"), rng)
+        assert rng.random() == untouched.random()
+
+    @pytest.mark.parametrize("mode", ["concat", "overlay"])
+    @pytest.mark.parametrize("rows", [3, 7])
+    def test_row_count_must_match_labels(self, rng, mode, rows):
+        # Was numpy's concatenate or broadcast error, after the draw.
+        untouched = copy.deepcopy(rng)
+        with pytest.raises(ValueError, match=re.escape(
+                f"fuse_inputs: {rows} feature rows for 5 labels")):
+            fuse_inputs(np.zeros((rows, 4)), np.zeros(5, dtype=np.int64), 3,
+                        FusionMode(mode), rng)
         assert rng.random() == untouched.random()
 
 

@@ -419,7 +419,8 @@ class TestTrainIteration:
         params = [p.W for p in net.neurons] + [net.readout_W]
         before = [a.copy() for a in params]
         train_iteration(net, fused_batch(net))
-        after = [p.W for p in net.neurons] + [net.readout_W]
+        after = net.weights
+        assert len(after) == len(params)
         for a, b, old in zip(after, params, before):
             assert a is b
             assert not np.array_equal(a, old)
@@ -455,6 +456,19 @@ class TestTrainIteration:
                        true_labels=labels)
         before = copy.deepcopy(net)
         with pytest.raises(ValueError, match="label out of range"):
+            train_iteration(net, bad)
+        self.assert_same_net(net, before)
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_non_integer_labels_rejected_before_any_step(self, dtype):
+        net = small_net(n_classes=3)
+        fb = fused_batch(net)
+        train_iteration(net, fb)
+        bad = dataclasses.replace(
+            fb, true_labels=(fb.true_labels % 2).astype(dtype))
+        before = copy.deepcopy(net)
+        with pytest.raises(ValueError, match=(
+                "^train_iteration: need integer labels")):
             train_iteration(net, bad)
         self.assert_same_net(net, before)
 
@@ -523,8 +537,7 @@ class TestAdamMoments:
     def test_lazy_moments_equal_explicit_zeros(self):
         net = small_net(weight_decay=1e-2)
         ref = copy.deepcopy(net)
-        for p, s in zip([q.W for q in ref.neurons] + [ref.readout_W],
-                        self.states(ref)):
+        for p, s in zip(ref.weights, self.states(ref)):
             s.m, s.v = np.zeros_like(p), np.zeros_like(p)
         for seed in range(3):
             fb = fused_batch(net, seed=seed)

@@ -12,8 +12,9 @@ from hypothesis.extra.numpy import arrays
 from conftest import peak_bytes
 from cyclicff import numerics
 from cyclicff.numerics import (ADAM_BLOCK, ADAM_BLOCK_BYTES, SMALL_PRODUCT,
-                               AdamState, adam_step, blas_threads_for,
-                               check_finite, l2_normalize_rows, make_rng,
+                               AdamState, adam_step, blas_threads,
+                               blas_threads_for, check_finite,
+                               l2_normalize_rows, make_rng,
                                openblas_config, openblas_thread_calls,
                                sigmoid, softmax_stable, softmax_xent)
 
@@ -122,6 +123,17 @@ class TestSoftmax:
         with pytest.raises(ValueError,
                            match="softmax_xent: label out of range"):
             softmax_xent(np.zeros((2, 3)), np.array([0, label]))
+
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.5], [-0.5, 0.0], [0.0, np.nan], [True, False]],
+        ids=["half", "minus-half", "nan", "bool"])
+    def test_xent_labels_must_be_integers(self, labels):
+        # A float label would index as its truncation, a bool one as a
+        # mask.
+        labels = np.array(labels)
+        with pytest.raises(ValueError, match=re.escape(
+                f"softmax_xent: need integer labels, got {labels.dtype}")):
+            softmax_xent(np.zeros((2, 3)), labels)
 
     @pytest.mark.parametrize("n_labels", [1, 3])
     def test_xent_label_count_must_match_rows(self, n_labels):
@@ -417,9 +429,18 @@ class TestBlasThreads:
                 assert get() == 1
             assert get() == 1
 
+    def test_sets_any_count_and_restores_it(self, two_blas_threads):
+        # blas_threads_for's tests cover a body that raises.
+        get, _ = two_blas_threads
+        with blas_threads(1):
+            with blas_threads(2):  # nested, and raising the count
+                assert get() == 2
+            assert get() == 1
+        assert get() == 2
+
     def test_nothing_without_a_bundled_openblas(self, monkeypatch):
         monkeypatch.setattr(numerics, "openblas_thread_calls", lambda: None)
-        with blas_threads_for(1):
+        with blas_threads_for(1), blas_threads(3):
             pass
 
     def test_library_looked_up_once(self, monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import central_diff, openblas_thread_calls, peak_bytes, rel_err
+from conftest import blas_threads, central_diff, peak_bytes, rel_err
 from test_bits import workload_runs
 from cyclicff import cli
 from cyclicff import training as training_module
@@ -255,6 +255,13 @@ class TestBPChainBaseline:
         with pytest.raises(ValueError, match="label out of range"):
             model.loss_and_grads(np.zeros((2, 4)), np.array([0, label]))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.5], [True, False]],
+                             ids=["half", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        model = BPChainMLP(dim=4, width=5, n_classes=3, rng=make_rng(0, 0))
+        with pytest.raises(ValueError, match="need integer labels"):
+            model.loss_and_grads(np.zeros((2, 4)), np.array(labels))
+
     def test_2d_labels_rejected(self):
         # A label column broadcasts softmax_xent's index to a wrong loss.
         model = BPChainMLP(dim=4, width=5, n_classes=3, rng=make_rng(0, 0))
@@ -472,22 +479,18 @@ class TestDeterminism:
             checkpoints.append((tmp_path / "net.ckpt").read_bytes())
         assert checkpoints[0] == checkpoints[1]
 
-    def test_same_bits_at_a_pinned_blas_thread_count(self, tmp_path):
+    def test_same_bits_at_a_pinned_blas_thread_count(
+            self, two_blas_threads, tmp_path):
         # The README's contract: a fixed numpy build and BLAS thread count
         # give the same checkpoint bytes. Counts are not compared with each
         # other: OpenBLAS splits a wide matmul differently per count.
-        calls = openblas_thread_calls()
-        if calls is None:
-            pytest.skip("numpy's bundled OpenBLAS not found")
-        get, set_ = calls
+        get, _ = two_blas_threads
         full = synth_blobs(64, 784, 4, 3.0, make_rng(0, 100))
         train, val = split(full, 0.25, make_rng(0, "data-shuffle"))
         cfg = quick_cfg(generator=GeneratorSpec("complete", 4), d_out=200,
                         max_epochs=1)
-        original = get()
-        try:
-            for threads in (1, 2):
-                set_(threads)
+        for threads in (1, 2):
+            with blas_threads(threads):
                 assert get() == threads
                 runs = []
                 for run in range(2):
@@ -496,8 +499,6 @@ class TestDeterminism:
                     save_checkpoint(net, path)
                     runs.append(path.read_bytes())
                 assert runs[0] == runs[1], threads
-        finally:
-            set_(original)
 
 
 class TestBlasThreads:
